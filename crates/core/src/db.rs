@@ -29,7 +29,7 @@ use crate::error::BlasError;
 use blas_engine::{
     choose_shards, estimate_plan, exec, lower_plan, lower_plan_costed, lower_twig,
     lower_twigstack, order_twig_joins, CostModel, ExecConfig, ExecStats, PhysPlan, PoolHandle,
-    TwigQuery, DEFAULT_MIN_SHARD_ELEMS,
+    TwigQuery,
 };
 use blas_labeling::{label_document, DLabel, DocumentLabels, PLabelDomain};
 use blas_storage::{DeltaEdits, MappedBytes, NodeRecord, NodeStore};
@@ -812,7 +812,8 @@ impl BlasDb {
 
     /// The cost-based path: lower every applicable candidate, price
     /// each with run-directory cardinalities, keep the cheapest, then
-    /// derive the shard count from its largest estimated scan.
+    /// derive the shard count from its largest scan that does
+    /// per-element work (zero-copy scans have nothing to divide).
     ///
     /// Candidates with [`Translator::Auto`] are the paper's own
     /// contenders — Unfold and Push-up on the relational engine
@@ -869,7 +870,7 @@ impl BlasDb {
             };
             let est = estimate_plan(&phys, &gen.store, &model);
             if best.as_ref().is_none_or(|b| est.cost_ns < b.est_cost_ns) {
-                best_max_scan = est.max_scan_card;
+                best_max_scan = est.max_divisible_scan_card;
                 best = Some(PreparedPlan {
                     phys,
                     engine,
@@ -884,7 +885,7 @@ impl BlasDb {
         };
         best.shards = if choice.shards == 0 {
             let workers = std::thread::available_parallelism().map_or(1, |n| n.get());
-            choose_shards(best_max_scan, workers, DEFAULT_MIN_SHARD_ELEMS)
+            choose_shards(best_max_scan, workers, model.min_shard_elems())
         } else {
             choice.shards
         };

@@ -66,15 +66,15 @@
 //!    0 itself, **helping the pool while it waits** (so even a
 //!    zero-worker pool cannot deadlock); each sub-job filters its
 //!    pieces into a private buffer, restores start order among *its
-//!    own* pieces with the ping-pong segment merge of
-//!    [`crate::stjoin`], and tallies tuples into a private per-shard
-//!    [`ExecStats`] accumulator — no shared counters, so no
-//!    double-count risk;
+//!    own* pieces with the k-way ordering kernel
+//!    ([`crate::stream::merge_sorted`]), and tallies tuples into a
+//!    private per-shard [`ExecStats`] accumulator — no shared
+//!    counters, so no double-count risk;
 //! 3. the scan job merges the per-shard accumulators **once**, asserts
 //!    every tuple was counted exactly once, and restores global start
-//!    order across shard outputs with one final segment merge
-//!    (coalescing shard boundaries that are already ordered, the
-//!    common case for single-run scans).
+//!    order across shard outputs with the same kernel (shards whose
+//!    start spans do not overlap, the common case for single-run
+//!    scans, are copied whole).
 //!
 //! Because starts are unique within a document and every operator is
 //! deterministic in its inputs, the pooled path is byte-identical to
@@ -85,8 +85,11 @@
 use crate::physical::{OpId, PhysOp, PhysPlan};
 use crate::pool::{self, PoolHandle, Scope};
 use crate::stats::ExecStats;
-use crate::stjoin::{filter_flagged_into, merge_segments, structural_match_into, MergeScratch};
-use crate::stream::{materialize, resolve_filter, ExecBuffers, Filter, Labels};
+use crate::stjoin::{filter_flagged_into, structural_match_into};
+use crate::stream::{
+    materialize, merge_scan_runs, merge_sorted, resolve_filter, ExecBuffers, Filter, Labels,
+    MergeScratch,
+};
 use crate::twigstack;
 use blas_labeling::DLabel;
 use blas_storage::{NodeStore, ScanRun, NO_VALUE};
@@ -415,14 +418,15 @@ fn eval_structural_join(
     }
 }
 
-/// K-way merge of start-sorted lists, dropping duplicates (same start
-/// ⇒ same node).
-fn eval_union<'i>(inputs: impl Iterator<Item = &'i [DLabel]>, out: &mut Vec<DLabel>) {
-    for input in inputs {
-        out.extend_from_slice(input);
-    }
-    out.sort_unstable_by_key(|l| l.start);
-    out.dedup_by_key(|l| l.start);
+/// Union of start-sorted streams in document order, dropping
+/// duplicates (same start ⇒ same node).
+fn eval_union<'i>(
+    inputs: impl Iterator<Item = &'i [DLabel]>,
+    scratch: &mut MergeScratch,
+    out: &mut Vec<DLabel>,
+) {
+    let inputs: Vec<&[DLabel]> = inputs.collect();
+    merge_sorted(&inputs, scratch, out);
 }
 
 // ---------------------------------------------------------------------
@@ -508,7 +512,7 @@ fn exec_op<'a>(
         }
         PhysOp::Union { inputs } => {
             let mut all = bufs.take();
-            eval_union(inputs.iter().map(|&i| input(results, i)), &mut all);
+            eval_union(inputs.iter().map(|&i| input(results, i)), &mut bufs.merge, &mut all);
             Labels::Owned(all)
         }
         PhysOp::TwigStackMatch { streams, pattern } => {
@@ -712,7 +716,11 @@ impl<'a> Sched<'a> {
             }
             PhysOp::Union { inputs } => {
                 let mut out = bufs.take();
-                eval_union(inputs.iter().map(|&i| self.input_from(inherited, i)), &mut out);
+                eval_union(
+                    inputs.iter().map(|&i| self.input_from(inherited, i)),
+                    &mut bufs.merge,
+                    &mut out,
+                );
                 Labels::Owned(out)
             }
             PhysOp::TwigStackMatch { streams, pattern } => {
@@ -912,25 +920,13 @@ impl<'a> Sched<'a> {
         );
         stats.absorb(&shard_total);
 
-        // Restore global start order: per-shard outputs are already
-        // sorted, so they form segments for one final ping-pong merge.
-        // Consecutive shards that are already ordered (single-run scans
-        // split into consecutive pieces) coalesce into one segment,
-        // making the merge a no-op for that common case.
+        // Restore global start order across the per-shard outputs
+        // (each already sorted). Shards of a single-run scan hold
+        // consecutive pieces, so their spans do not overlap and the
+        // kernel copies each whole.
         let mut out = bufs.take();
-        bufs.merge.bounds.clear();
-        for (shard, _) in &shard_out {
-            if shard.is_empty() {
-                continue;
-            }
-            let ordered = out.last().is_none_or(|l: &DLabel| l.start <= shard[0].start);
-            out.extend_from_slice(shard);
-            match bufs.merge.bounds.last_mut() {
-                Some(b) if ordered => *b = out.len(),
-                _ => bufs.merge.bounds.push(out.len()),
-            }
-        }
-        merge_segments(&mut out, &mut bufs.merge);
+        let shards: Vec<&[DLabel]> = shard_out.iter().map(|(shard, _)| shard.as_slice()).collect();
+        merge_sorted(&shards, &mut bufs.merge, &mut out);
         Some(Labels::Owned(out))
     }
 }
@@ -1028,16 +1024,14 @@ fn coalesce_groups<'a>(groups: Vec<Vec<ScanRun<'a>>>, desired: usize) -> Vec<Vec
 fn scan_shard(runs: &[ScanRun<'_>], filter: Filter) -> (Vec<DLabel>, ExecStats) {
     let mut stats = ExecStats::default();
     let mut out = Vec::new();
-    let mut scratch = MergeScratch::default();
-    for run in runs {
-        stats.elements_visited += run.len() as u64;
-        let before = out.len();
-        run.filter_into(filter, &mut out);
-        if out.len() > before {
-            scratch.bounds.push(out.len());
-        }
-    }
-    merge_segments(&mut out, &mut scratch);
+    merge_scan_runs(
+        runs.iter().cloned(),
+        filter,
+        &mut stats,
+        &mut Vec::new(),
+        &mut MergeScratch::default(),
+        &mut out,
+    );
     (out, stats)
 }
 

@@ -44,8 +44,10 @@
 //!   ancestors/descendants participate in a containment (or
 //!   exact-level) pair.
 //! * [`stream`] — zero-copy label streams over the columnar store's
-//!   clustered runs, plus the pooled scratch buffers
-//!   ([`ExecBuffers`]) every operator of one execution shares.
+//!   clustered runs, the pooled scratch buffers ([`ExecBuffers`])
+//!   every operator of one execution shares, and the one k-way
+//!   ordering kernel ([`stream::merge_sorted`]) that range scans,
+//!   sharded scans and unions restore document order with.
 //!
 //! Every tuple pulled from storage increments
 //! [`ExecStats::elements_visited`]; this is the deterministic

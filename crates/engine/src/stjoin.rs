@@ -12,11 +12,9 @@
 //! The kernel is allocation-free on the hot path: callers keep a
 //! [`JoinScratch`] (flag vectors + ancestor stack) alive across joins
 //! via [`structural_match_into`]; the [`structural_match`] wrapper
-//! allocates fresh [`MatchFlags`] for one-shot use. Start-order
-//! restoration after a multi-run clustered scan likewise reuses one
-//! [`MergeScratch`] and ping-pongs between two buffers
-//! ([`merge_segments`]) instead of allocating a `Vec` per run.
+//! allocates fresh [`MatchFlags`] for one-shot use.
 
+use crate::stream::{merge_sorted, MergeScratch};
 use blas_labeling::DLabel;
 
 /// Which elements of each input participate in a join pair.
@@ -148,112 +146,27 @@ pub fn filter_flagged(items: &[DLabel], flags: &[bool]) -> Vec<DLabel> {
     out
 }
 
-/// Reusable state for [`merge_segments`]: the segment boundary lists of
-/// the current and next round plus the ping-pong partner buffer.
-#[derive(Debug, Default)]
-pub struct MergeScratch {
-    /// End offset of each start-sorted segment in the buffer being
-    /// merged. Callers push one entry per non-empty run.
-    pub bounds: Vec<usize>,
-    bounds_next: Vec<usize>,
-    spare: Vec<DLabel>,
-}
-
-impl MergeScratch {
-    /// Release any internal buffer whose capacity exceeds
-    /// `max_elems` (see [`JoinScratch::trim`]): the spare ping-pong
-    /// buffer grows to the largest merged scan, which a long-lived
-    /// per-worker cache must not retain forever.
-    pub fn trim(&mut self, max_elems: usize) {
-        if self.spare.capacity() > max_elems {
-            self.spare = Vec::new();
-        }
-        for bounds in [&mut self.bounds, &mut self.bounds_next] {
-            if bounds.capacity() > max_elems {
-                *bounds = Vec::new();
-            }
-        }
-    }
-}
-
-/// Restore global start order over a buffer holding the concatenation
-/// of start-sorted segments (one per clustered run), delimited by
-/// `scratch.bounds` (end offsets, ascending, last = `buf.len()`).
-///
-/// Merges adjacent segment pairs per round, ping-ponging between `buf`
-/// and one spare buffer — two allocations total at steady state, versus
-/// the per-run `Vec<Vec<DLabel>>` this replaces. The run count is the
-/// number of distinct source paths in a P-label range (a handful), so
-/// rounds are few and each is a sequential two-pointer merge.
-pub fn merge_segments(buf: &mut Vec<DLabel>, scratch: &mut MergeScratch) {
-    debug_assert!(scratch.bounds.windows(2).all(|w| w[0] < w[1]));
-    debug_assert_eq!(scratch.bounds.last().copied().unwrap_or(0), buf.len());
-    while scratch.bounds.len() > 1 {
-        let src: &[DLabel] = buf;
-        let dst = &mut scratch.spare;
-        dst.clear();
-        dst.reserve(src.len());
-        scratch.bounds_next.clear();
-        let mut seg_start = 0usize;
-        let mut i = 0usize;
-        while i < scratch.bounds.len() {
-            let first_end = scratch.bounds[i];
-            if i + 1 < scratch.bounds.len() {
-                let second_end = scratch.bounds[i + 1];
-                merge_two_into(&src[seg_start..first_end], &src[first_end..second_end], dst);
-                seg_start = second_end;
-                i += 2;
-            } else {
-                // Odd segment out: carried to the next round unchanged.
-                dst.extend_from_slice(&src[seg_start..first_end]);
-                seg_start = first_end;
-                i += 1;
-            }
-            scratch.bounds_next.push(dst.len());
-        }
-        std::mem::swap(buf, &mut scratch.spare);
-        std::mem::swap(&mut scratch.bounds, &mut scratch.bounds_next);
-    }
-    scratch.bounds.clear();
-}
-
-fn merge_two_into(a: &[DLabel], b: &[DLabel], out: &mut Vec<DLabel>) {
-    let (mut i, mut j) = (0, 0);
-    while i < a.len() && j < b.len() {
-        if a[i].start <= b[j].start {
-            out.push(a[i]);
-            i += 1;
-        } else {
-            out.push(b[j]);
-            j += 1;
-        }
-    }
-    out.extend_from_slice(&a[i..]);
-    out.extend_from_slice(&b[j..]);
-}
-
 /// Restore start (document) order after a `(plabel, start)`-clustered
-/// range scan returned as one flat buffer.
-///
-/// Such a scan emits one start-sorted run per distinct P-label, so the
-/// input is a concatenation of a few ascending runs: detect them and
-/// hand the boundaries to [`merge_segments`]. Kept as the standalone
-/// entry point for callers (and the ablation bench) that do not track
-/// run boundaries themselves; the engines' scan path pushes exact
-/// boundaries instead of re-detecting them.
-pub fn ensure_start_order(mut input: Vec<DLabel>) -> Vec<DLabel> {
+/// range scan returned as one flat buffer: split it into its ascending
+/// runs and hand them to the k-way ordering kernel ([`merge_sorted`]).
+/// Kept for callers (and the ablation bench) that do not track run
+/// boundaries; the engines' scan path passes the runs themselves.
+pub fn ensure_start_order(input: Vec<DLabel>) -> Vec<DLabel> {
     if input.windows(2).all(|w| w[0].start <= w[1].start) {
         return input;
     }
-    let mut scratch = MergeScratch::default();
+    let mut runs = Vec::new();
+    let mut begin = 0;
     for i in 1..input.len() {
         if input[i].start < input[i - 1].start {
-            scratch.bounds.push(i);
+            runs.push(&input[begin..i]);
+            begin = i;
         }
     }
-    scratch.bounds.push(input.len());
-    merge_segments(&mut input, &mut scratch);
-    input
+    runs.push(&input[begin..]);
+    let mut out = Vec::with_capacity(input.len());
+    merge_sorted(&runs, &mut MergeScratch::default(), &mut out);
+    out
 }
 
 #[cfg(test)]
@@ -372,28 +285,6 @@ mod tests {
         let merged = ensure_start_order(v);
         assert!(merged.windows(2).all(|w| w[0].start <= w[1].start));
         assert_eq!(merged.len(), 50);
-    }
-
-    #[test]
-    fn merge_segments_handles_odd_counts_and_reuse() {
-        let mut scratch = MergeScratch::default();
-        for rounds in 1..=5usize {
-            // `rounds` interleaved segments of unequal lengths.
-            let mut buf: Vec<DLabel> = Vec::new();
-            scratch.bounds.clear();
-            for seg in 0..rounds {
-                for i in 0..(10 + seg as u32) {
-                    let s = i * rounds as u32 + seg as u32;
-                    buf.push(l(s, s + 1, 1));
-                }
-                scratch.bounds.push(buf.len());
-            }
-            let mut expected: Vec<u32> = buf.iter().map(|x| x.start).collect();
-            expected.sort_unstable();
-            merge_segments(&mut buf, &mut scratch);
-            let got: Vec<u32> = buf.iter().map(|x| x.start).collect();
-            assert_eq!(got, expected, "{rounds} segments");
-        }
     }
 
     #[test]

@@ -168,6 +168,12 @@ pub enum ErrorCode {
     FrameTooLarge,
     /// The server is draining for shutdown.
     ShuttingDown,
+    /// The query's matched nodes would not fit in one
+    /// [`MAX_FRAME_BYTES`] frame in the connection's encoding. Decided
+    /// from the result count before encoding; the result is not
+    /// cached and the connection stays open. Ask for the count only
+    /// (`labels: false`) or narrow the query.
+    ResultTooLarge,
     /// Anything else (a bug — the request was well-formed).
     Internal,
 }
@@ -184,6 +190,7 @@ impl ErrorCode {
             ErrorCode::FrameTooLarge => 6,
             ErrorCode::ShuttingDown => 7,
             ErrorCode::Internal => 8,
+            ErrorCode::ResultTooLarge => 9,
         }
     }
 
@@ -199,6 +206,7 @@ impl ErrorCode {
             5 => ErrorCode::Timeout,
             6 => ErrorCode::FrameTooLarge,
             7 => ErrorCode::ShuttingDown,
+            9 => ErrorCode::ResultTooLarge,
             _ => ErrorCode::Internal,
         }
     }
@@ -213,6 +221,7 @@ impl ErrorCode {
             ErrorCode::Timeout => "timeout",
             ErrorCode::FrameTooLarge => "frame_too_large",
             ErrorCode::ShuttingDown => "shutting_down",
+            ErrorCode::ResultTooLarge => "result_too_large",
             ErrorCode::Internal => "internal",
         }
     }

@@ -51,6 +51,16 @@
 //! node array pre-serialized in both encodings ([`NodesBlob`]), so a
 //! hit replays bytes whichever protocol the connection speaks.
 //!
+//! ## Oversized results
+//!
+//! A reply is one frame of at most [`MAX_FRAME_BYTES`]. Before a
+//! query's nodes are encoded, the server multiplies the result count
+//! by the connection encoding's per-node width ([`wire::NODE_BYTES`]
+//! binary, [`wire::JSON_NODE_MAX_BYTES`] JSON); a result that cannot
+//! fit is answered with [`ErrorCode::ResultTooLarge`] on its own
+//! stream. It is neither cached nor counted as served, and the
+//! connection — with every sibling stream on it — stays open.
+//!
 //! ## Shutdown
 //!
 //! [`Server::shutdown`] stops accepting, then **drains**: every
@@ -60,7 +70,7 @@
 //! every task handle before shutdown returns.
 
 use crate::json::{self, Json};
-use crate::proto::{err_response, write_frame, ErrorCode, FrameReader, ReadEvent};
+use crate::proto::{err_response, write_frame, ErrorCode, FrameReader, ReadEvent, MAX_FRAME_BYTES};
 use crate::wire::{self, NodesBlob, Request, Response};
 use blas::{BlasCollection, BlasDb, DocId, EngineChoice};
 use blas_engine::{PoolHandle, TaskHandle};
@@ -301,6 +311,8 @@ pub struct ServerStats {
     pub served: u64,
     /// Requests rejected by query admission control.
     pub overloaded: u64,
+    /// Queries answered `result_too_large`.
+    pub results_too_large: u64,
     /// Connections accepted into the pool.
     pub connections_accepted: u64,
     /// Connections rejected at the limit.
@@ -329,6 +341,7 @@ struct Inner {
     cache: ResultCache,
     served: AtomicU64,
     overloaded: AtomicU64,
+    too_large: AtomicU64,
     conns_accepted: AtomicU64,
     conns_rejected: AtomicU64,
     timeouts: AtomicU64,
@@ -384,6 +397,7 @@ impl Server {
             stop: AtomicBool::new(false),
             served: AtomicU64::new(0),
             overloaded: AtomicU64::new(0),
+            too_large: AtomicU64::new(0),
             conns_accepted: AtomicU64::new(0),
             conns_rejected: AtomicU64::new(0),
             timeouts: AtomicU64::new(0),
@@ -425,6 +439,7 @@ impl Server {
         ServerStats {
             served: i.served.load(Ordering::Relaxed),
             overloaded: i.overloaded.load(Ordering::Relaxed),
+            results_too_large: i.too_large.load(Ordering::Relaxed),
             connections_accepted: i.conns_accepted.load(Ordering::Relaxed),
             connections_rejected: i.conns_rejected.load(Ordering::Relaxed),
             timeouts: i.timeouts.load(Ordering::Relaxed),
@@ -608,7 +623,8 @@ fn serve_json(inner: Arc<Inner>, mut stream: TcpStream, mut reader: FrameReader)
                 } else {
                     respond(&inner, &bytes)
                 };
-                if write_frame(&mut stream, resp.to_string().as_bytes()).is_err() {
+                let resp = fit_json_frame(resp.to_string());
+                if write_frame(&mut stream, resp.as_bytes()).is_err() {
                     return;
                 }
                 if stopping {
@@ -660,6 +676,19 @@ impl MuxWriter {
     fn send(&self, stream_id: u64, resp: &Response) {
         let mut payload = Vec::new();
         wire::encode_response(stream_id, resp, &mut payload);
+        if payload.len() > MAX_FRAME_BYTES {
+            // The count check in `query` keeps node arrays in bounds;
+            // this catches an envelope that still overflows (a huge
+            // echoed string), so the stream gets a typed error instead
+            // of the whole connection dying.
+            let message = format!("reply of {} bytes exceeds the frame limit", payload.len());
+            payload.clear();
+            wire::encode_response(
+                stream_id,
+                &Response::Error { code: ErrorCode::ResultTooLarge, message },
+                &mut payload,
+            );
+        }
         let _guard = self.lock.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
         if self.dead.load(Ordering::Acquire) {
             return;
@@ -748,7 +777,12 @@ fn serve_binary(inner: Arc<Inner>, stream: TcpStream) {
                             let task_inner = Arc::clone(&inner);
                             let task_writer = Arc::clone(&writer);
                             tasks.push(inner.exec.spawn_task(move || {
-                                let resp = dispatch(&task_inner, &req, Some(permit));
+                                let resp = dispatch(
+                                    &task_inner,
+                                    &req,
+                                    Some(permit),
+                                    wire::NODE_BYTES,
+                                );
                                 task_writer.send(sid, &resp);
                             }));
                         }
@@ -759,7 +793,7 @@ fn serve_binary(inner: Arc<Inner>, stream: TcpStream) {
                         }
                     }
                 } else {
-                    let resp = dispatch(&inner, &req, None);
+                    let resp = dispatch(&inner, &req, None, wire::NODE_BYTES);
                     writer.send(sid, &resp);
                 }
             }
@@ -807,6 +841,17 @@ fn serve_binary(inner: Arc<Inner>, stream: TcpStream) {
     }
 }
 
+/// The JSON twin of the oversized-envelope guard in [`MuxWriter::send`]:
+/// a reply text too large for one frame becomes a typed error, so the
+/// connection survives.
+fn fit_json_frame(text: String) -> String {
+    if text.len() <= MAX_FRAME_BYTES {
+        return text;
+    }
+    let message = format!("reply of {} bytes exceeds the frame limit", text.len());
+    err_response(&Json::Null, ErrorCode::ResultTooLarge, &message).to_string()
+}
+
 /// Best-effort id extraction for error responses to frames we will not
 /// fully dispatch.
 fn request_id(bytes: &[u8]) -> Json {
@@ -839,7 +884,7 @@ fn respond(inner: &Inner, bytes: &[u8]) -> Json {
     let empty = Json::Obj(Vec::new());
     let params = req.get("params").unwrap_or(&empty);
     match Request::from_json(method, params) {
-        Ok(request) => dispatch(inner, &request, None).to_json(&id),
+        Ok(request) => dispatch(inner, &request, None, wire::JSON_NODE_MAX_BYTES).to_json(&id),
         Err((code, msg)) => err_response(&id, code, &msg),
     }
 }
@@ -849,17 +894,23 @@ type MethodResult = Result<Response, (ErrorCode, String)>;
 /// Execute one typed request — both protocols land here. `permit` is
 /// the admission permit when the caller already acquired it (the
 /// multiplexed read loop); `None` makes admission this function's job.
-fn dispatch(inner: &Inner, req: &Request, permit: Option<Permit>) -> Response {
-    let resp = match dispatch_inner(inner, req, permit) {
+/// `node_bytes` is the per-node width of the reply's encoding, which
+/// bounds the result a query may return in one frame.
+fn dispatch(inner: &Inner, req: &Request, permit: Option<Permit>, node_bytes: usize) -> Response {
+    let resp = match dispatch_inner(inner, req, permit, node_bytes) {
         Ok(resp) => resp,
         Err((code, message)) => Response::Error { code, message },
     };
     match &resp {
-        Response::Error { code, .. } => {
-            if *code == ErrorCode::Overloaded {
+        Response::Error { code, .. } => match code {
+            ErrorCode::Overloaded => {
                 inner.overloaded.fetch_add(1, Ordering::Relaxed);
             }
-        }
+            ErrorCode::ResultTooLarge => {
+                inner.too_large.fetch_add(1, Ordering::Relaxed);
+            }
+            _ => {}
+        },
         _ => {
             inner.served.fetch_add(1, Ordering::Relaxed);
         }
@@ -867,7 +918,12 @@ fn dispatch(inner: &Inner, req: &Request, permit: Option<Permit>) -> Response {
     resp
 }
 
-fn dispatch_inner(inner: &Inner, req: &Request, permit: Option<Permit>) -> MethodResult {
+fn dispatch_inner(
+    inner: &Inner,
+    req: &Request,
+    permit: Option<Permit>,
+    node_bytes: usize,
+) -> MethodResult {
     let _permit = if req.needs_admission() && permit.is_none() {
         match inner.inflight.try_acquire() {
             Some(p) => Some(p),
@@ -878,7 +934,8 @@ fn dispatch_inner(inner: &Inner, req: &Request, permit: Option<Permit>) -> Metho
     };
     match req {
         Request::Query { db, xpath, engine, labels, cache, hold_ms } => {
-            query(inner, db, xpath, engine, *labels, *cache, *hold_ms)
+            let reply = ReplyShape { labels: *labels, node_bytes };
+            query(inner, db, xpath, engine, reply, *cache, *hold_ms)
         }
         Request::PlanInfo { db, xpath, engine } => plan_info(inner, db, xpath, engine),
         Request::Stats { db } => {
@@ -944,12 +1001,42 @@ fn overloaded(inner: &Inner) -> (ErrorCode, String) {
     )
 }
 
+/// What a query reply carries: whether it includes the nodes, and the
+/// encoded width of one node in the connection's encoding.
+#[derive(Clone, Copy)]
+struct ReplyShape {
+    labels: bool,
+    node_bytes: usize,
+}
+
+/// Frame bytes a query reply spends on everything but its node array
+/// (ids, counts, engine token and the JSON punctuation around them).
+const REPLY_ENVELOPE_BYTES: usize = 4096;
+
+impl ReplyShape {
+    /// `Err(result_too_large)` when a reply with `count` nodes cannot
+    /// fit in one frame — decided from the count, before encoding.
+    fn check(self, count: u64) -> Result<(), (ErrorCode, String)> {
+        let budget = (MAX_FRAME_BYTES - REPLY_ENVELOPE_BYTES) / self.node_bytes;
+        if !self.labels || count <= budget as u64 {
+            return Ok(());
+        }
+        Err((
+            ErrorCode::ResultTooLarge,
+            format!(
+                "{count} nodes exceed the {budget} one reply frame holds in this encoding; \
+                 ask for the count only (labels: false) or narrow the query"
+            ),
+        ))
+    }
+}
+
 fn query(
     inner: &Inner,
     db: &str,
     xpath: &str,
     engine_tok: &str,
-    want_labels: bool,
+    reply: ReplyShape,
     use_cache: bool,
     hold_ms: Option<u64>,
 ) -> MethodResult {
@@ -969,10 +1056,14 @@ fn query(
     let (entry, cached) = match use_cache {
         true => match inner.cache.get(&key) {
             Some(hit) => (hit, true),
-            None => (execute(inner, &snap, xpath, choice, &key, true)?, false),
+            None => (execute(inner, &snap, xpath, choice, &key, true, reply)?, false),
         },
-        false => (execute(inner, &snap, xpath, choice, &key, false)?, false),
+        false => (execute(inner, &snap, xpath, choice, &key, false, reply)?, false),
     };
+    // A hit may have been cached by a connection whose encoding is
+    // narrower than this one's.
+    reply.check(entry.count)?;
+    let want_labels = reply.labels;
     Ok(Response::Query {
         generation,
         engine: engine_tok.to_string(),
@@ -990,6 +1081,7 @@ fn execute(
     choice: EngineChoice,
     key: &ResultKey,
     store: bool,
+    reply: ReplyShape,
 ) -> Result<Arc<CachedResult>, (ErrorCode, String)> {
     let result = snap.query(xpath, choice).map_err(|e| match &e {
         blas::BlasError::XPath(_) | blas::BlasError::Parse(_) => {
@@ -997,15 +1089,22 @@ fn execute(
         }
         _ => (ErrorCode::Internal, e.to_string()),
     })?;
-    let nodes = NodesBlob::from_triples(
-        result.nodes.iter().map(|d| (d.start, d.end, d.level)),
-    );
+    // Before encoding: a result no frame can carry is never rendered
+    // or cached — an error when the nodes were asked for, a count-only
+    // reply otherwise.
+    let count = result.nodes.len() as u64;
+    reply.check(count)?;
+    let renderable = ReplyShape { labels: true, node_bytes: wire::NODE_BYTES }.check(count).is_ok();
+    let nodes = match renderable {
+        true => NodesBlob::from_triples(result.nodes.iter().map(|d| (d.start, d.end, d.level))),
+        false => NodesBlob::from_bin(Vec::new()),
+    };
     let entry = Arc::new(CachedResult {
-        count: result.nodes.len() as u64,
+        count,
         elements_visited: result.stats.elements_visited,
         nodes: Arc::new(nodes),
     });
-    if store {
+    if store && renderable {
         inner.cache.insert(key.clone(), Arc::clone(&entry), snap.generation());
     }
     Ok(entry)
@@ -1043,6 +1142,10 @@ fn stats_json(inner: &Inner, doc: u32, db: &Arc<BlasDb>) -> Json {
         (
             "overloaded".into(),
             Json::uint(inner.overloaded.load(Ordering::Relaxed)),
+        ),
+        (
+            "result_too_large".into(),
+            Json::uint(inner.too_large.load(Ordering::Relaxed)),
         ),
         (
             "inflight".into(),

@@ -74,6 +74,10 @@ const RF_NODES: u8 = 1 << 1;
 /// `u16 level`, little-endian.
 pub const NODE_BYTES: usize = 10;
 
+/// Upper bound on bytes per node in the JSON result array: the widest
+/// `[start,end,level],` is `[4294967295,4294967295,65535],`.
+pub const JSON_NODE_MAX_BYTES: usize = 30;
+
 /// A malformed binary payload — always a typed error, never a panic.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WireError {

@@ -69,6 +69,7 @@ fn error_code() -> impl Strategy<Value = ErrorCode> {
         ErrorCode::FrameTooLarge,
         ErrorCode::ShuttingDown,
         ErrorCode::Internal,
+        ErrorCode::ResultTooLarge,
     ])
 }
 
@@ -280,6 +281,7 @@ fn error_code_bytes_round_trip() {
         ErrorCode::FrameTooLarge,
         ErrorCode::ShuttingDown,
         ErrorCode::Internal,
+        ErrorCode::ResultTooLarge,
     ];
     for code in all {
         assert_eq!(ErrorCode::from_u8(code.to_u8()), code);

@@ -35,8 +35,13 @@
 //! * [`NodeStore::scan_plabel_eq`] / [`NodeStore::scan_tag`] — exactly
 //!   one run, already in document order;
 //! * [`NodeStore::scan_plabel_range`] — the consecutive runs of every
-//!   distinct P-label in `[p1, p2]` (the engine merges them back to
-//!   document order with a ping-pong buffer merge).
+//!   distinct P-label in `[p1, p2]`, each start-ascending but
+//!   interleaved with one another in document order. The engine puts
+//!   them back in document order with its k-way ordering kernel
+//!   (`blas_engine::stream::merge_sorted`), which the optimizer prices
+//!   from the runs' sizes and start spans. The one-step suffix path
+//!   `//t` never reaches this scan: it binds to the SD run of `t`,
+//!   which holds the same nodes already in document order.
 //!
 //! # Column sources: owned, mapped-raw, mapped-packed
 //!

@@ -1,7 +1,9 @@
 //! Binding symbolic plans to a concrete document: tag names become
 //! `TagId`s, suffix paths become P-label intervals (Algorithm 1), and
-//! anchored paths become equality predicates (Prop. 3.2). Also renders
-//! bound plans in the relational-algebra style of Fig. 11.
+//! anchored paths become equality predicates (Prop. 3.2). The one-step
+//! suffix path `//t` is the exception: it binds to the SD tag run,
+//! which holds the interval's node set already in document order. Also
+//! renders bound plans in the relational-algebra style of Fig. 11.
 
 use crate::plan::{Plan, SelectSource, Side};
 use blas_labeling::{LabelError, PLabelDomain};
@@ -13,9 +15,11 @@ use std::fmt::Write as _;
 pub enum BoundSource {
     /// `plabel = p` over the SP clustering (anchored simple path).
     PLabelEq(u128),
-    /// `p1 ≤ plabel ≤ p2` over the SP clustering (suffix path).
+    /// `p1 ≤ plabel ≤ p2` over the SP clustering (suffix path of two
+    /// or more steps).
     PLabelRange(u128, u128),
-    /// `tag = t` over the SD clustering (baseline).
+    /// `tag = t` over the SD clustering (baseline, and the one-step
+    /// suffix path `//t`).
     Tag(TagId),
     /// Full scan (baseline wildcard).
     All,
@@ -97,6 +101,10 @@ fn bind_path(
     };
     match domain.path_interval(anchored, &ids) {
         Ok(interval) if anchored => BoundSource::PLabelEq(interval.p1),
+        // `//t` selects exactly the nodes tagged `t`: the SD run of `t`
+        // holds that node set already in start order, where the SP
+        // interval would return one run per source path ending in `t`.
+        Ok(_) if ids.len() == 1 => BoundSource::Tag(ids[0]),
         Ok(interval) => BoundSource::PLabelRange(interval.p1, interval.p2),
         // Too long to match anything in this document, or tags beyond
         // the domain: provably empty.
@@ -217,6 +225,23 @@ mod tests {
             }) => assert!(p1 < p2),
             other => panic!("{other:?}"),
         }
+    }
+
+    #[test]
+    fn one_step_suffix_paths_bind_to_the_tag_run() {
+        let (doc, dom) = setup();
+        let bound = bind(&translate_pushup(&parse("//n").unwrap()).unwrap(), doc.tags(), &dom);
+        let n = doc.tags().get("n").unwrap();
+        assert_eq!(
+            bound,
+            BoundPlan::Select(BoundSelection {
+                source: BoundSource::Tag(n),
+                value_eq: None,
+                level_eq: None
+            })
+        );
+        let txt = render_algebra(&bound, doc.tags());
+        assert!(txt.contains("σ[tag='n'](SD)"), "{txt}");
     }
 
     #[test]

@@ -518,3 +518,59 @@ fn mux_connection_drains_on_shutdown() {
         "the listening socket must be gone after shutdown"
     );
 }
+
+/// A result larger than one frame (`MAX_FRAME_BYTES`) is a typed
+/// `result_too_large` error on its own stream, decided before encoding:
+/// sibling streams on the same socket get their answers, the
+/// connection stays usable, nothing is cached and the request does not
+/// count as served. The JSON encoding behaves the same. 1.8M nodes are
+/// 18 MB in the binary encoding, past the 16 MiB frame limit.
+#[test]
+fn oversized_result_is_a_typed_error_that_spares_its_siblings() {
+    const CHILDREN: usize = 1_800_000;
+    let mut xml = String::with_capacity(4 * CHILDREN + 16);
+    xml.push_str("<r>");
+    for _ in 0..CHILDREN {
+        xml.push_str("<a/>");
+    }
+    xml.push_str("</r>");
+    let server = Server::bind(
+        Arc::new(BlasDb::load(&xml).unwrap()),
+        "127.0.0.1:0",
+        ServerConfig::default(),
+    )
+    .unwrap();
+    let timeout = Some(Duration::from_secs(120));
+    let mux = MuxClient::connect(server.local_addr(), timeout).unwrap();
+
+    let (big, sibling) = std::thread::scope(|s| {
+        let big = s.spawn(|| mux.query("//a", "rdbms"));
+        let sibling = s.spawn(|| mux.query("/r", "rdbms"));
+        (big.join().unwrap(), sibling.join().unwrap())
+    });
+    match big {
+        Err(ClientError::Rpc { code, .. }) => assert_eq!(code, "result_too_large"),
+        other => panic!("expected result_too_large, got {other:?}"),
+    }
+    assert_eq!(sibling.unwrap().count, 1);
+    assert!(!mux.conn().is_dead(), "the connection must survive");
+    assert_eq!(mux.query("/r", "rdbms").unwrap().count, 1);
+    let stats = server.stats();
+    assert_eq!(stats.results_too_large, 1);
+    assert_eq!(stats.served, 2, "the oversized query is not served");
+    assert_eq!(stats.cache_entries, 1, "only `/r` is cached");
+
+    // The count alone still fits; the nodes behind it are not cached.
+    assert_eq!(mux.query_count("//a", "rdbms", true).unwrap().count, CHILDREN);
+    assert_eq!(server.stats().cache_entries, 1);
+
+    let mut json = Client::connect(server.local_addr(), timeout).unwrap();
+    match json.query("//a", "rdbms") {
+        Err(ClientError::Rpc { code, .. }) => assert_eq!(code, "result_too_large"),
+        other => panic!("expected result_too_large, got {other:?}"),
+    }
+    assert_eq!(json.query("/r", "rdbms").unwrap().count, 1);
+    let stats = server.shutdown();
+    assert_eq!(stats.results_too_large, 2);
+    assert_eq!(stats.cache_entries, 1);
+}
