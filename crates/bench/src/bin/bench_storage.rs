@@ -47,8 +47,8 @@
 //! is recorded without being asserted. The `par_overhead` row is the
 //! opposite bound and holds **everywhere**: a QA1-class µs point
 //! query under pooled execution must stay ≥ 0.6× of sequential even
-//! on one core, proving chain collapsing + per-worker scratch caches
-//! keep the pooled path's fixed costs amortized (the floor moved from
+//! on one core, proving chain collapsing + per-thread scratch keep
+//! a worker pool's fixed costs amortized (the floor moved from
 //! 0.8 when plan caching stripped the shared parse+translate cost
 //! from both sides — same ~300 ns absolute overhead, smaller base).
 //!
@@ -395,7 +395,7 @@ fn main() {
     // allocations dominate actual work (the 1-core ×10 measurement
     // regressed to 0.27× when the DAG walk made every operator a
     // job). Chain collapsing (a linear plan = one queue job) plus the
-    // per-worker scratch caches must bound that fixed cost: pooled
+    // per-thread scratch must bound that fixed cost: pooled
     // execution is gated at ≥ 0.6× sequential **even on one core**,
     // where no parallelism can pay for any overhead at all.
     // Unlike the Fig. 13/14 rows (trimmed mean of 10, the paper's
@@ -967,7 +967,7 @@ fn main() {
     // *cost*, a QA1-class point query under pooled execution must stay
     // within 0.6× of sequential — the queue round-trips and scratch
     // allocations the DAG walk adds are bounded by chain collapsing
-    // and the per-worker caches. (Multi-core hosts pass trivially:
+    // and the per-thread scratch. (Multi-core hosts pass trivially:
     // real parallelism only raises the ratio.)
     //
     // Re-anchored from 0.8 when the plan cache landed: both sides of

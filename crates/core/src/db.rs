@@ -97,11 +97,12 @@ impl fmt::Display for Engine {
 /// whole pipeline — parse → decompose → bind → lower → execute — in
 /// one call.
 ///
-/// With `shards > 1` the whole operator DAG (scans, structural joins,
-/// union arms, twig branches) executes as dependency-counted jobs on
-/// the database's persistent worker pool ([`BlasDb::pool`]); `shards
-/// == 1` (the default) is the sequential fallback that never touches
-/// the pool.
+/// Every plan runs through the one executor's dependency-counted DAG
+/// walk. With `shards > 1` its forks (structural-join sides, union
+/// arms, twig branches) and large scan shards run as jobs on the
+/// database's persistent worker pool ([`BlasDb::pool`]); with
+/// `shards == 1` the walk runs on the zero-worker inline pool — the
+/// whole plan on the calling thread, no job submitted to any pool.
 ///
 /// ```
 /// use blas::{BlasDb, EngineChoice};
@@ -119,10 +120,11 @@ pub struct EngineChoice {
     pub engine: Engine,
     /// Translation algorithm (§4.1).
     pub translator: Translator,
-    /// Worker count for sharded parallel scans; `1` = sequential, `0`
-    /// = let the optimizer pick (sequential for manual engines; for
-    /// [`Engine::Auto`] the shard count is derived from the estimated
-    /// largest scan, so point queries never pay pool overhead).
+    /// Worker count for sharded parallel scans; `1` = run on the
+    /// calling thread only, `0` = let the optimizer pick (`1` for
+    /// manual engines; for [`Engine::Auto`] the shard count is derived
+    /// from the estimated largest scan, so point queries never pay pool
+    /// overhead).
     pub shards: usize,
 }
 
@@ -164,10 +166,10 @@ impl EngineChoice {
     /// concurrently and large clustered scans additionally shard
     /// (small scans stay whole). Linear stretches of the plan are
     /// **chain-collapsed** — a sole just-released consumer runs as a
-    /// continuation of its producer's job — and operator jobs recycle
-    /// their scratch buffers through per-worker caches, so even a
-    /// µs-scale point query pays for at most one queue round-trip per
-    /// genuine fork, not one per operator (see
+    /// continuation of its producer's job — and each job reuses its
+    /// thread's scratch buffers, so even a µs-scale point query pays
+    /// for at most one queue round-trip per genuine fork, not one per
+    /// operator (see
     /// [`ExecStats::scratch_hits`] for the observable side of the
     /// recycling).
     ///
@@ -639,8 +641,8 @@ impl BlasDb {
     /// [`PoolHandle::with_default_parallelism`]:
     /// `available_parallelism() − 1` resident workers (at least one),
     /// because the thread that submits a query participates in
-    /// executing it. Sequential queries (`shards == 1`, the default
-    /// [`EngineChoice`]) never touch the pool, so purely sequential
+    /// executing it. Queries with `shards == 1` run on the calling
+    /// thread and never touch this pool, so purely single-threaded
     /// workloads spawn no threads at all.
     pub fn pool(&self) -> &PoolHandle {
         self.pool.get_or_init(PoolHandle::with_default_parallelism)
@@ -688,11 +690,9 @@ impl BlasDb {
     }
 
     /// Run an already parsed query tree: decompose → bind → lower →
-    /// execute on the shared physical-plan executor. Parallel choices
-    /// (`shards > 1`) run the operator DAG on the database's
-    /// persistent [`BlasDb::pool`] under the executor's defaults —
-    /// chain collapsing on, per-worker scratch recycling on;
-    /// `shards == 1` executes sequentially without touching the pool.
+    /// execute on the shared physical-plan executor, exactly as
+    /// [`BlasDb::query`] executes (see `EngineChoice` for where the
+    /// walk's jobs run).
     /// This entry point has no query string to key on, so it bypasses
     /// the plan cache and prepares the plan fresh each call.
     pub fn run(&self, query: &QueryTree, choice: EngineChoice) -> Result<QueryResult, BlasError> {
@@ -892,14 +892,15 @@ impl BlasDb {
         Ok(best)
     }
 
-    /// Execute a resolved plan: the database's persistent pool with
-    /// `shards`-way scan splitting when the plan asks for parallelism
-    /// (chain collapsing and per-worker scratch caches enabled — the
-    /// [`ExecConfig`] defaults), the no-pool sequential configuration
-    /// otherwise.
+    /// Execute a resolved plan through the one executor: on the
+    /// database's persistent pool when the plan asks for `shards > 1`,
+    /// with a scan fanning out only at the cost model's per-shard
+    /// threshold — the same one Auto picked the shard count with —
+    /// and on the zero-worker inline pool otherwise.
     fn execute_prepared(&self, gen: &DbGen, prepared: &PreparedPlan) -> QueryResult {
         let config = if prepared.shards > 1 {
             ExecConfig::on_pool(self.pool().clone(), prepared.shards)
+                .with_min_shard_elems(CostModel::default().min_shard_elems())
         } else {
             ExecConfig::sequential()
         };
@@ -1650,12 +1651,13 @@ mod tests {
     #[test]
     fn parallel_point_queries_amortize_scheduling_overhead() {
         let db = BlasDb::load(SAMPLE).unwrap();
-        let seq = db.query("/db/e/p/n", EngineChoice::auto()).unwrap();
-        assert_eq!(
-            seq.stats.scratch_checkouts, 0,
-            "sequential execution never touches the per-worker caches"
-        );
         let before = db.pool().jobs_submitted();
+        let seq = db.query("/db/e/p/n", EngineChoice::auto().with_shards(1)).unwrap();
+        assert_eq!(
+            db.pool().jobs_submitted(),
+            before,
+            "a shards == 1 query runs on the calling thread, never on the db pool"
+        );
         let (mut checkouts, mut hits) = (0u64, 0u64);
         const RUNS: u64 = 64;
         for _ in 0..RUNS {
@@ -1671,6 +1673,26 @@ mod tests {
         // jobs than executing threads — mostly out of a warm cache.
         assert_eq!(checkouts, RUNS, "one scratch checkout per job");
         assert!(hits > 0, "some thread ran two jobs and must have recycled its scratch");
+    }
+
+    #[test]
+    fn parallel_scans_fan_out_only_past_the_cost_model_threshold() {
+        // A scan of N elements: past twice the executor's default
+        // per-shard minimum, so it would fan out 2-way there, but below
+        // twice the cost model's threshold — the one Auto picks shard
+        // counts with — where a 2-way shard measures slower than one.
+        let model = CostModel::default().min_shard_elems();
+        const N: usize = 10_000;
+        assert!(N >= 2 * blas_engine::DEFAULT_MIN_SHARD_ELEMS && N < 2 * model);
+        let db = BlasDb::load(&format!("<r>{}</r>", "<x/>".repeat(N))).unwrap();
+        let before = db.pool().jobs_submitted();
+        let par = db.query("/r/x", EngineChoice::parallel(2)).unwrap();
+        assert_eq!(par.nodes.len(), N);
+        assert_eq!(
+            db.pool().jobs_submitted() - before,
+            1,
+            "scan → materialize is one job, with no shard sub-job below the model's threshold"
+        );
     }
 
     #[test]

@@ -1,63 +1,70 @@
-//! The shared physical-plan executor: sequential by default, and a
-//! dependency-counted DAG walk over the persistent worker pool
-//! ([`crate::pool`]) when parallelism is configured.
+//! The physical-plan executor: one dependency-counted DAG walk that
+//! runs every plan, on whatever [`PoolHandle`] the configuration
+//! carries.
 //!
 //! One operator set executes any [`PhysPlan`] (see [`crate::physical`]
 //! for the operator ↔ paper-section map); all three engines —
-//! relational, holistic twig, TwigStack — funnel through
-//! [`execute_with`] and differ only in how they *lower*.
+//! relational, holistic twig, TwigStack — funnel through [`execute`]
+//! and differ only in how they *lower*.
 //!
-//! # The two execution modes
+//! # The DAG walk
 //!
-//! * **Sequential** (`shards == 1`, the default): operators run in
-//!   arena order on the calling thread, each result parks in its slot
-//!   until its last consumer has read it, and buffers recycle through
-//!   the pooled [`ExecBuffers`]. No pool job is ever submitted — this
-//!   is the degenerate case the parallel path must match
-//!   byte-for-byte.
-//! * **Pooled DAG walk** (`shards > 1`): operators run as jobs on
-//!   [`ExecConfig::pool`] — a persistent pool shared across scans
-//!   *and* queries (`blas::BlasDb` keeps one for its lifetime; there
-//!   are **no per-scan thread spawns anywhere**). Scheduling is
-//!   dependency-counted: each operator starts with one credit per
-//!   input edge ([`PhysPlan::input_counts`]), a finishing job
-//!   decrements its consumers' credits ([`PhysPlan::consumers`]) and
-//!   schedules whichever dependents just reached zero. Independent
-//!   subtrees — the two sides of a [`PhysOp::StructuralJoin`], every
+//! Scheduling is dependency-counted: each operator starts with one
+//! credit per input edge ([`PhysPlan::input_counts`]), a finishing
+//! operator decrements its consumers' credits
+//! ([`PhysPlan::consumers`]) and schedules whichever dependents just
+//! reached zero; the plan's roots ([`PhysPlan::roots`]) are ready at
+//! the start. Where a ready operator runs depends only on the pool:
+//!
+//! * **A pool with workers** ([`ExecConfig::pool`], typically
+//!   `blas::BlasDb`'s persistent pool shared across scans *and*
+//!   queries — there are no per-scan thread spawns anywhere): roots
+//!   and genuine forks become pool jobs, so independent subtrees — the
+//!   two sides of a [`PhysOp::StructuralJoin`], every
 //!   [`PhysOp::Union`] arm, every twig branch feeding
-//!   [`PhysOp::TwigStackMatch`] — therefore execute concurrently,
-//!   not just the scans.
+//!   [`PhysOp::TwigStackMatch`] — execute concurrently, not just the
+//!   scans.
+//! * **The zero-worker pool** ([`PoolHandle::inline`], which
+//!   [`ExecConfig::sequential`] carries): no worker could ever steal a
+//!   queued job, so roots and forks never go to the queue. They run
+//!   inline from the job's local LIFO ready stack, and with
+//!   `shards < 2` — where no scan can fan out either — the walk runs
+//!   without a [`pool::scope`] barrier at all: the whole plan is one
+//!   job on the calling thread, with no job submitted anywhere.
 //!
 //! # Amortizing per-operator overhead (chain collapsing + scratch)
 //!
 //! Making *every* operator a queue job is wasteful exactly where BLAS
 //! shines — µs-scale point queries, whose plans are mostly **linear
 //! chains** (scan → filter → materialize). Two mechanisms bound the
-//! pooled path's fixed costs so it stays within a constant factor of
-//! sequential even with no parallelism available:
+//! walk's fixed costs:
 //!
 //! * **Chain collapsing.** When a finishing producer releases
 //!   **exactly one** now-ready consumer, the consumer runs *inline*
 //!   as a continuation of the producer's job — no queue round-trip,
-//!   recorded as [`ProbeEvent::Inlined`]. Only genuine forks (a
-//!   release of two or more ready dependents, and the plan's roots)
-//!   pay the queue, so a linear pipeline is exactly **one** pool job
-//!   end to end, while join sides, union arms and twig branches still
-//!   fan out. [`ExecConfig::collapse_chains`] (default on) gates the
-//!   rule; the scheduling test suite runs both settings.
-//! * **Per-worker scratch caches.** Each operator job checks its
-//!   [`ExecBuffers`] out of the executing thread's lock-free scratch
-//!   cache ([`crate::pool::take_scratch`]) instead of allocating
+//!   recorded as [`ProbeEvent::Inlined`]. On a pool with workers only
+//!   genuine forks (a release of two or more ready dependents, and
+//!   the plan's roots) pay the queue, so a linear pipeline is exactly
+//!   **one** pool job end to end, while join sides, union arms and
+//!   twig branches still fan out. Along a link that is its consumer's
+//!   only input, the producer hands its output over in memory, so a
+//!   final [`PhysOp::Materialize`] moves instead of copying.
+//!   [`ExecConfig::collapse_chains`] (default on) gates the rule; the
+//!   scheduling test suite runs both settings.
+//! * **Per-thread scratch.** Each job checks its [`ExecBuffers`] out
+//!   of the executing thread's scratch slot instead of allocating
 //!   fresh, and checks it back in when the job (including everything
-//!   it ran inline) finishes — the sequential path's one-pool
-//!   recycling, generalized per worker. [`ExecStats`] counts
-//!   checkouts and cache hits so reuse is observable.
+//!   it ran inline) finishes. [`ExecStats`] counts checkouts and cache
+//!   hits so reuse is observable. The one exception is the buffer
+//!   that becomes the caller's result: it is allocated fresh
+//!   ([`ExecBuffers::output`]), so a caller never receives a recycled
+//!   buffer with an earlier query's high-water capacity.
 //!
 //! # Sharded scans
 //!
-//! Inside the pooled walk, every [`PhysOp::ClusteredScan`] large
-//! enough to be worth it (`min_shard_elems`) additionally fans out
-//! *within* its job:
+//! With `shards ≥ 2`, every [`PhysOp::ClusteredScan`] large enough to
+//! be worth it (`min_shard_elems`) additionally fans out *within* its
+//! job:
 //!
 //! 1. storage partitions the scan's clustered runs into balanced
 //!    groups of zero-copy pieces (`blas_storage::shard_runs`,
@@ -77,10 +84,10 @@
 //!    scans, are copied whole).
 //!
 //! Because starts are unique within a document and every operator is
-//! deterministic in its inputs, the pooled path is byte-identical to
-//! the sequential one — same labels, same order, same counters —
-//! which the equivalence property suite checks across {1, 2, 4, 7}
-//! pool threads on all three engines.
+//! deterministic in its inputs, the result does not depend on the
+//! pool or the shard count — same labels, same order, same counters —
+//! which the equivalence property suite checks across pools of
+//! {0, 1, 2, 4, 7} workers on all three engines.
 
 use crate::physical::{OpId, PhysOp, PhysPlan};
 use crate::pool::{self, PoolHandle, Scope};
@@ -88,12 +95,13 @@ use crate::stats::ExecStats;
 use crate::stjoin::{filter_flagged_into, structural_match_into};
 use crate::stream::{
     materialize, merge_scan_runs, merge_sorted, resolve_filter, ExecBuffers, Filter, Labels,
-    MergeScratch,
+    MergeScratch, MAX_RETAINED_ELEMS,
 };
 use crate::twigstack;
 use blas_labeling::DLabel;
 use blas_storage::{NodeStore, ScanRun, NO_VALUE};
 use blas_translate::{BoundSource, Side};
+use std::cell::{Cell, UnsafeCell};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
@@ -103,42 +111,40 @@ use std::time::Instant;
 pub const DEFAULT_MIN_SHARD_ELEMS: usize = 4096;
 
 /// Executor configuration: how many ways to split clustered scans, and
-/// which persistent worker pool runs the operator jobs.
+/// which worker pool runs the plan's forks.
 ///
-/// `shards == 1` (the default) is the **sequential fallback**: every
-/// operator runs on the calling thread, nothing is ever submitted to
-/// the pool, and the carried pool is the zero-worker
-/// [`PoolHandle::inline`]. With `shards > 1` the whole plan executes
-/// as dependency-counted jobs on [`ExecConfig::pool`] — which should
-/// be a long-lived pool shared across queries (see
-/// [`ExecConfig::on_pool`]); [`ExecConfig::sharded`] spins up a
+/// [`ExecConfig::sequential`] (the default) carries the zero-worker
+/// [`PoolHandle::inline`] and `shards == 1`: the plan runs as one job
+/// on the calling thread and nothing is submitted to any pool.
+/// [`ExecConfig::on_pool`] runs forks and scan shards on a long-lived
+/// pool shared across queries; [`ExecConfig::sharded`] spins up a
 /// private pool for one-off use. Pool sizing guidance lives on
 /// [`PoolHandle`]: `available_parallelism() − 1` workers is the
 /// default, because the thread that submits a plan helps execute it.
 #[derive(Debug, Clone)]
 pub struct ExecConfig {
-    /// Worker count sharded scans split into, and the parallel/
-    /// sequential switch: `1` executes every operator sequentially on
-    /// the calling thread.
+    /// Ways a large clustered scan splits into pool sub-jobs; below 2
+    /// no scan fans out.
     pub shards: usize,
     /// Minimum tuples per shard before a scan fans out; tests force
-    /// the parallel path on tiny stores by setting this to 1.
+    /// fan-out on tiny stores by setting this to 1.
     pub min_shard_elems: usize,
-    /// The persistent pool operator jobs and scan shards run on.
-    /// Ignored when `shards == 1`.
+    /// The pool that runs the plan's roots and forks as jobs (when it
+    /// has workers) and every scan's shard sub-jobs.
     pub pool: PoolHandle,
     /// Chain collapsing (default `true`): a finishing producer that
     /// releases exactly one now-ready consumer runs it inline as a
-    /// continuation of its own job instead of re-enqueueing it, so
-    /// only genuine forks — union arms, join sides, twig branches —
-    /// pay a queue round-trip. Semantics are unaffected either way
-    /// (the equivalence suite runs both settings); turning it off
-    /// restores the one-job-per-operator schedule of the plain DAG
-    /// walk, which the scheduling tests use as a reference.
+    /// continuation of its own job and hands its output over in
+    /// memory, so only genuine forks — union arms, join sides, twig
+    /// branches — pay a queue round-trip. Semantics are unaffected
+    /// either way (the equivalence suite runs both settings); turning
+    /// it off restores the one-job-per-operator schedule of the plain
+    /// DAG walk on a pool with workers, which the scheduling tests use
+    /// as a reference.
     pub collapse_chains: bool,
-    /// Test-only scheduling instrumentation: when set, the pooled DAG
-    /// walk records a [`ProbeEvent`] stream (submission or inlining,
-    /// start and finish of every operator) the concurrency test suite
+    /// Test-only scheduling instrumentation: when set, the DAG walk
+    /// records a [`ProbeEvent`] stream (submission or inlining, start
+    /// and finish of every operator) the concurrency test suite
     /// asserts ordering invariants on. Leave `None` outside tests.
     pub probe: Option<ExecProbe>,
 }
@@ -150,11 +156,11 @@ impl Default for ExecConfig {
 }
 
 impl ExecConfig {
-    /// Sequential execution (the default): `shards == 1`, a
-    /// zero-worker inline pool, no jobs submitted. The inline pool is
-    /// one process-wide shared handle (it owns no threads and is never
-    /// pushed to on this path), so constructing a sequential config
-    /// per query costs one `Arc` clone.
+    /// Single-threaded execution (the default): `shards == 1` on a
+    /// zero-worker inline pool, so the whole plan runs on the calling
+    /// thread and no job is submitted. The inline pool is one
+    /// process-wide shared handle (it owns no threads), so constructing
+    /// a sequential config per query costs one `Arc` clone.
     pub fn sequential() -> Self {
         static INLINE: OnceLock<PoolHandle> = OnceLock::new();
         Self {
@@ -203,7 +209,7 @@ impl ExecConfig {
     }
 
     /// Override the per-shard minimum (tests set 1 to force fan-out on
-    /// tiny stores).
+    /// tiny stores; `blas::BlasDb` passes the cost model's threshold).
     pub fn with_min_shard_elems(mut self, min_shard_elems: usize) -> Self {
         self.min_shard_elems = min_shard_elems;
         self
@@ -218,37 +224,32 @@ impl ExecConfig {
     /// Enable or disable chain collapsing (see
     /// [`ExecConfig::collapse_chains`]; default enabled). Test
     /// support: with collapsing off, every operator is its own queue
-    /// job, the pre-amortization reference schedule.
+    /// job on a pool with workers, the pre-amortization reference
+    /// schedule.
     pub fn with_collapse_chains(mut self, collapse_chains: bool) -> Self {
         self.collapse_chains = collapse_chains;
         self
     }
-
-    /// Whether this configuration takes the pooled DAG path.
-    pub fn is_parallel(&self) -> bool {
-        self.shards > 1
-    }
 }
 
-/// One observed scheduling event of the pooled DAG walk (see
-/// [`ExecProbe`]).
+/// One observed scheduling event of the DAG walk (see [`ExecProbe`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ProbeEvent {
-    /// The operator's dependency count reached zero and its job was
-    /// pushed to the pool queue. Under chain collapsing this happens
-    /// for the plan's roots, and whenever a finishing producer
-    /// releases **two or more** ready dependents at once (a genuine
-    /// fork); with [`ExecConfig::collapse_chains`] off, for every
-    /// operator.
+    /// The operator became ready and its job was pushed to the pool
+    /// queue. Only on a pool with workers: for the plan's roots, and
+    /// whenever a finishing producer releases **two or more** ready
+    /// dependents at once (a genuine fork); with
+    /// [`ExecConfig::collapse_chains`] off, for every operator.
     Submitted(OpId),
-    /// The operator's dependency count reached zero as the *only*
-    /// dependent its producer released, and chain collapsing ran it
-    /// inline as a continuation of the producer's job — no queue
-    /// round-trip. Every operator gets exactly one scheduling event:
-    /// `Submitted` or `Inlined`, never both, never twice.
+    /// The operator became ready and runs on the current job with no
+    /// queue round-trip: as the *only* dependent its producer released
+    /// (chain collapsing), or — on a zero-worker pool, where no worker
+    /// could steal a queued job — as any root or fork, taken from the
+    /// job's local LIFO ready stack. Every operator gets exactly one
+    /// scheduling event: `Submitted` or `Inlined`, never both, never
+    /// twice.
     Inlined(OpId),
-    /// The operator began executing (as its own pool job or as an
-    /// inline continuation).
+    /// The operator began executing.
     Started(OpId),
     /// The operator's result was published (recorded *before* any
     /// dependent is released, so in the event log every consumer's
@@ -295,36 +296,15 @@ pub fn execute(
     config: &ExecConfig,
     stats: &mut ExecStats,
 ) -> Vec<DLabel> {
-    let mut bufs = ExecBuffers::default();
-    execute_with(plan, store, config, stats, &mut bufs)
-}
-
-/// Like [`execute`], reusing caller-held scratch buffers across
-/// executions (batch drivers, benches). The caller-held set feeds the
-/// sequential path; the pooled path recycles through the per-worker
-/// scratch caches instead (`pool::take_scratch`).
-pub fn execute_with(
-    plan: &PhysPlan,
-    store: &NodeStore,
-    config: &ExecConfig,
-    stats: &mut ExecStats,
-    bufs: &mut ExecBuffers,
-) -> Vec<DLabel> {
     let t0 = Instant::now();
-    let result = if config.is_parallel() {
-        execute_pooled(plan, store, config, stats)
-    } else {
-        execute_sequential(plan, store, stats, bufs)
-    };
+    let result = Sched::new(plan, store, config).run(stats);
     stats.result_count = result.len();
     stats.elapsed = t0.elapsed();
     result
 }
 
 // ---------------------------------------------------------------------
-// Operator kernels, shared verbatim by both execution modes (this is
-// what guarantees pooled ≡ sequential: scheduling changes, math does
-// not).
+// Operator kernels
 // ---------------------------------------------------------------------
 
 /// Standalone filter over a non-scan stream, run as a chunked
@@ -416,6 +396,7 @@ fn eval_structural_join(
         Side::Anc => filter_flagged_into(anc, &join.anc, out),
         Side::Desc => filter_flagged_into(desc, &join.desc, out),
     }
+    join.trim(MAX_RETAINED_ELEMS);
 }
 
 /// Union of start-sorted streams in document order, dropping
@@ -430,130 +411,58 @@ fn eval_union<'i>(
 }
 
 // ---------------------------------------------------------------------
-// Sequential mode (`shards == 1`)
+// The DAG walk
 // ---------------------------------------------------------------------
 
-fn execute_sequential(
-    plan: &PhysPlan,
-    store: &NodeStore,
-    stats: &mut ExecStats,
-    bufs: &mut ExecBuffers,
-) -> Vec<DLabel> {
-    let n = plan.ops().len();
-    // Remaining-consumer counts: a slot recycles the moment its last
-    // consumer has read it (+1 on the root so it survives the loop).
-    // Seeded from the plan's memoized dependency metadata, so repeated
-    // executions skip the dependency walk.
-    let mut uses: Vec<usize> = plan.consumer_counts().to_vec();
-    uses[plan.root()] += 1;
-    let mut results: Vec<Option<Labels<'_>>> = (0..n).map(|_| None).collect();
-    for id in 0..n {
-        let out = exec_op(plan.op(id), &mut results, &mut uses, store, stats, bufs);
-        results[id] = Some(out);
-        plan.op(id).for_each_input(|i| release(&mut results, &mut uses, i, bufs));
-    }
-    let result = results[plan.root()]
-        .take()
-        .expect("root result present")
-        .into_vec(bufs);
-    for r in results.into_iter().flatten() {
-        bufs.recycle(r);
-    }
-    result
+/// The scratch one executing job checks out of its thread's cache: the
+/// operators' buffers, and the job's local ready stack.
+#[derive(Default)]
+struct JobScratch {
+    bufs: ExecBuffers,
+    /// Operators ready to run on this job, popped last-in first-out.
+    ready: Vec<OpId>,
 }
 
-fn release<'a>(
-    results: &mut [Option<Labels<'a>>],
-    uses: &mut [usize],
-    id: usize,
-    bufs: &mut ExecBuffers,
-) {
-    uses[id] = uses[id].saturating_sub(1);
-    if uses[id] == 0 {
-        if let Some(l) = results[id].take() {
-            bufs.recycle(l);
-        }
+thread_local! {
+    /// This thread's spare [`JobScratch`]: per-thread ≡ per-worker for
+    /// the resident pool threads, and the same for helping and calling
+    /// threads. One slot suffices: only a job nested inside another on
+    /// the same thread (helping the pool while a sharded scan waits)
+    /// finds it empty, and it then starts from a fresh set.
+    static JOB_SCRATCH: Cell<Option<Box<JobScratch>>> = const { Cell::new(None) };
+}
+
+/// A job's scratch, checked out of this thread's slot — a pointer move,
+/// no lock and no allocation on a hit — and checked back in on drop.
+/// What it may retain is bounded where buffers grow
+/// ([`ExecBuffers`]); a job that unwinds mid-operator trims the whole
+/// set before shelving it.
+struct CheckedOut {
+    scratch: Option<Box<JobScratch>>,
+    /// Whether the checkout recycled an earlier job's set.
+    reused: bool,
+}
+
+impl CheckedOut {
+    fn take() -> Self {
+        let cached = JOB_SCRATCH.with(Cell::take);
+        CheckedOut { reused: cached.is_some(), scratch: Some(cached.unwrap_or_default()) }
+    }
+
+    fn get(&mut self) -> &mut JobScratch {
+        self.scratch.as_mut().expect("present until drop")
     }
 }
 
-/// The parked result of an earlier operator.
-fn input<'s, 'a>(results: &'s [Option<Labels<'a>>], id: usize) -> &'s [DLabel] {
-    results[id].as_ref().expect("inputs precede consumers")
-}
-
-fn exec_op<'a>(
-    op: &PhysOp,
-    results: &mut [Option<Labels<'a>>],
-    uses: &mut [usize],
-    store: &'a NodeStore,
-    stats: &mut ExecStats,
-    bufs: &mut ExecBuffers,
-) -> Labels<'a> {
-    match op {
-        PhysOp::ClusteredScan { source, value_eq, level_eq } => {
-            materialize(source, value_eq.as_deref(), *level_eq, store, stats, bufs)
-        }
-        PhysOp::ValueFilter { input: inp, value_eq, level_eq } => {
-            // Scans carry their value filters fused (pushdown), so this
-            // operator usually sees only a level predicate.
-            let mut out = bufs.take();
-            eval_value_filter(input(results, *inp), value_eq.as_deref(), *level_eq, store, &mut out);
-            Labels::Owned(out)
-        }
-        PhysOp::StructuralJoin { anc, desc, level_diff, keep, tally } => {
-            let a = input(results, *anc);
-            let d = input(results, *desc);
-            let spec = JoinSpec { level_diff: *level_diff, keep: *keep, tally: *tally };
-            let mut join = std::mem::take(&mut bufs.join);
-            let mut out = bufs.take();
-            eval_structural_join(a, d, spec, stats, &mut join, &mut out);
-            bufs.join = join;
-            Labels::Owned(out)
-        }
-        PhysOp::Union { inputs } => {
-            let mut all = bufs.take();
-            eval_union(inputs.iter().map(|&i| input(results, i)), &mut bufs.merge, &mut all);
-            Labels::Owned(all)
-        }
-        PhysOp::TwigStackMatch { streams, pattern } => {
-            let stream_slices: Vec<&[DLabel]> =
-                streams.iter().map(|&s| input(results, s)).collect();
-            Labels::Owned(twigstack::run_match(pattern, &stream_slices, stats))
-        }
-        PhysOp::Materialize { input: inp } => {
-            // Move the input when this is its last consumer; copy when
-            // it is shared.
-            if uses[*inp] == 1 {
-                let l = results[*inp].take().expect("input present");
-                Labels::Owned(l.into_vec(bufs))
-            } else {
-                let mut v = bufs.take();
-                v.extend_from_slice(input(results, *inp));
-                Labels::Owned(v)
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// Pooled mode (`shards > 1`): dependency-counted DAG walk
-// ---------------------------------------------------------------------
-
-/// One operator's published output in the pooled walk.
-struct OpOutput<'a> {
-    labels: Labels<'a>,
-    stats: ExecStats,
-}
-
-/// A checked-out scratch set that trims itself on the way back to the
-/// per-worker cache — **including during unwinds**, so a panicking
-/// continuation cannot re-shelve oversized buffers (drop order runs
-/// this trim before the inner [`pool::Scratch`] re-shelves the set).
-struct TrimmedScratch(pool::Scratch<ExecBuffers>);
-
-impl Drop for TrimmedScratch {
+impl Drop for CheckedOut {
     fn drop(&mut self) {
-        self.0.trim();
+        let Some(mut scratch) = self.scratch.take() else { return };
+        if std::thread::panicking() {
+            scratch.bufs.trim();
+        }
+        // try_with: during thread teardown the slot may be gone; the
+        // set is then simply dropped.
+        let _ = JOB_SCRATCH.try_with(|slot| slot.set(Some(scratch)));
     }
 }
 
@@ -569,8 +478,8 @@ fn take_inherited<'a>(
 }
 
 /// Per-operator scheduling state: the unfinished-input credits and the
-/// write-once result slot, fused so one pooled execution makes a
-/// single state allocation however many operators the plan has.
+/// write-once result slot, fused so one execution makes a single state
+/// allocation however many operators the plan has.
 struct OpState<'a> {
     /// Unfinished-input credits; the operator is scheduled exactly
     /// when this reaches zero, so a join can never start before both
@@ -578,24 +487,151 @@ struct OpState<'a> {
     pending: AtomicUsize,
     /// Write-once result; readable by consumers only after the
     /// producing job has published (enforced by `pending`).
-    slot: OnceLock<OpOutput<'a>>,
+    slot: Slot<'a>,
 }
 
-/// Shared scheduling state of one pooled execution. Borrowed by every
-/// operator job; the [`pool::scope`] barrier guarantees the borrows
-/// end before the state is torn down.
+/// An operator's write-once output, shared across jobs without a lock
+/// or a `OnceLock` (whose `set` costs tens of ns — a measurable share
+/// of a µs-scale point query): the DAG walk itself orders every access.
+struct Slot<'a>(UnsafeCell<Option<Labels<'a>>>);
+
+// SAFETY: a slot is written exactly once, by the one job that runs its
+// operator (dependency counting makes each operator ready exactly
+// once), and that write precedes every release of the operator's
+// consumers. It is read only (a) by consumers, each released either by
+// an AcqRel credit decrement that follows the write in the writer's
+// release sequence or, along a chain link, by the writing job itself,
+// so the write happens-before the read, and (b) by the thread that owns
+// the `Sched`, after every job has finished (past the scope barrier, or
+// on the thread that ran the whole walk). No read can therefore race
+// the write, and reads only share.
+unsafe impl Sync for Slot<'_> {}
+
+impl<'a> Slot<'a> {
+    fn new() -> Self {
+        Slot(UnsafeCell::new(None))
+    }
+
+    /// Publish the operator's output. Called once, before any consumer
+    /// is released.
+    fn publish(&self, labels: Labels<'a>) {
+        // SAFETY: no reader exists before the consumers are released,
+        // and only this operator's one job writes (see `Sync` above).
+        let slot = unsafe { &mut *self.0.get() };
+        debug_assert!(slot.is_none(), "operator scheduled twice");
+        *slot = Some(labels);
+    }
+
+    /// The published output of a finished input.
+    fn get(&self) -> &[DLabel] {
+        // SAFETY: called only by a released consumer, after the write
+        // (see `Sync` above).
+        let slot = unsafe { &*self.0.get() };
+        slot.as_deref().expect("dependency counting released a consumer before its input")
+    }
+}
+
+/// Shared scheduling state of one execution. Borrowed by every job;
+/// when jobs run on other threads, the [`pool::scope`] barrier
+/// guarantees the borrows end before the state is torn down.
 struct Sched<'a> {
     plan: &'a PhysPlan,
     store: &'a NodeStore,
     config: &'a ExecConfig,
-    /// Who reads each operator's output (one entry per input edge);
-    /// borrowed from the plan's memoized dependency metadata.
+    /// Who reads each operator's output (one entry per input edge) and
+    /// how many inputs each operator has; borrowed from the plan's
+    /// memoized dependency metadata.
     consumers: &'a [Vec<OpId>],
+    input_counts: &'a [usize],
+    root: OpId,
+    /// Whether ready roots and forks go to the pool queue: only when
+    /// the pool has a worker to steal them.
+    queued: bool,
+    /// The operator a root [`PhysOp::Materialize`] may take its output
+    /// over from (the root itself otherwise): with the root, the
+    /// operators whose output buffer can become the caller's result.
+    result_input: OpId,
     /// One [`OpState`] per operator, in arena order.
     states: Vec<OpState<'a>>,
+    /// Counters of the jobs that ran off the calling thread's own walk,
+    /// each absorbed once when its job finishes.
+    job_stats: Mutex<ExecStats>,
 }
 
 impl<'a> Sched<'a> {
+    fn new(plan: &'a PhysPlan, store: &'a NodeStore, config: &'a ExecConfig) -> Self {
+        let root = plan.root();
+        let result_input =
+            if let PhysOp::Materialize { input } = plan.op(root) { *input } else { root };
+        Sched {
+            plan,
+            store,
+            config,
+            consumers: plan.consumers(),
+            input_counts: plan.input_counts(),
+            root,
+            queued: config.pool.threads() > 0,
+            result_input,
+            states: plan
+                .input_counts()
+                .iter()
+                .map(|&c| OpState { pending: AtomicUsize::new(c), slot: Slot::new() })
+                .collect(),
+            job_stats: Mutex::new(ExecStats::default()),
+        }
+    }
+
+    /// Walk the whole plan, then merge the job counters into `stats`
+    /// and take the root's output.
+    fn run(self, stats: &mut ExecStats) -> Vec<DLabel> {
+        let roots = self.plan.roots();
+        let mut scratch = None;
+        if self.queued {
+            // The first root goes to the queue *unnotified* — this
+            // thread is about to hit the scope barrier and will execute
+            // it itself, so waking a worker for it would be pure
+            // overhead (a spurious futex wake per µs-scale query).
+            // Remaining roots are genuine parallelism and wake workers
+            // as usual.
+            pool::scope(&self.config.pool, |scope| {
+                for (i, &root) in roots.iter().enumerate() {
+                    self.submit(scope, root, i == 0);
+                }
+            });
+        } else {
+            for &root in roots {
+                self.probe(ProbeEvent::Inlined(root));
+            }
+            let mut own = CheckedOut::take();
+            let job = if self.config.shards < 2 {
+                // Nothing can be spawned: no barrier needed.
+                self.run_job(None, roots, &mut own)
+            } else {
+                pool::scope(&self.config.pool, |scope| self.run_job(Some(scope), roots, &mut own))
+            };
+            stats.absorb(&job);
+            scratch = Some(own);
+        }
+        let Sched { root, states, job_stats, .. } = self;
+        stats.absorb(&job_stats.into_inner().unwrap());
+        // Every operator completed. Take the root's labels; the other
+        // operators' output buffers go back into *this* thread's
+        // scratch, so the next query's operators check them out again
+        // instead of growing fresh ones.
+        let mut result = Vec::new();
+        for (id, state) in states.into_iter().enumerate() {
+            match state.slot.0.into_inner().expect("every operator executed") {
+                Labels::Borrowed(s) if id == root => result = s.to_vec(),
+                Labels::Owned(v) if id == root => result = v,
+                Labels::Owned(v) if v.capacity() > 0 => {
+                    scratch.get_or_insert_with(CheckedOut::take).get().bufs.recycle_vec(v);
+                }
+                Labels::Borrowed(_) | Labels::Owned(_) => {}
+            }
+        }
+        result
+    }
+
     fn probe(&self, event: ProbeEvent) {
         if let Some(probe) = &self.config.probe {
             probe.record(event);
@@ -603,49 +639,48 @@ impl<'a> Sched<'a> {
     }
 
     fn input(&self, id: OpId) -> &[DLabel] {
-        &self.states[id]
-            .slot
-            .get()
-            .expect("dependency counting released a consumer before its input")
-            .labels
+        self.states[id].slot.get()
     }
 
-    fn submit<'s, 'e>(&'s self, scope: &'s Scope<'s, 'e>, id: OpId) {
+    /// Queue operator `id` as a pool job of its own. `deferred` skips
+    /// the worker wakeup ([`Scope::spawn_deferred`]).
+    fn submit<'s, 'e>(&'s self, scope: &'s Scope<'s, 'e>, id: OpId, deferred: bool) {
         self.probe(ProbeEvent::Submitted(id));
-        scope.spawn(move || self.run_op(scope, id));
+        let job = move || {
+            let mut scratch = CheckedOut::take();
+            let stats = self.run_job(Some(scope), &[id], &mut scratch);
+            self.job_stats.lock().unwrap().absorb(&stats);
+        };
+        if deferred {
+            scope.spawn_deferred(job);
+        } else {
+            scope.spawn(job);
+        }
     }
 
-    /// Queue a root job without waking a worker ([`Scope::spawn_deferred`]):
-    /// used for the first root of every plan, which the coordinating
-    /// thread — about to block on the scope barrier and help — will
-    /// almost always execute itself. A single-root (linear) plan thus
-    /// runs end to end on the submitting thread with zero futex
-    /// traffic, while still being one observable queue job.
-    fn submit_deferred<'s, 'e>(&'s self, scope: &'s Scope<'s, 'e>, id: OpId) {
-        self.probe(ProbeEvent::Submitted(id));
-        scope.spawn_deferred(move || self.run_op(scope, id));
-    }
-
-    /// One pool job: check an [`ExecBuffers`] set out of this worker's
-    /// scratch cache, run the operator — and, with chain collapsing,
-    /// every sole just-released consumer after it, reusing the same
-    /// scratch — then check the scratch back in for the worker's next
-    /// job. The checkout (and whether it was a cache hit) is tallied
-    /// once per job into the first operator's accumulator.
-    fn run_op<'s, 'e>(&'s self, scope: &'s Scope<'s, 'e>, id: OpId) {
-        // The scratch returns to this thread's cache bounded (trimmed
-        // on drop, panic or not): a worker must not pin the high-water
-        // buffer capacity of the largest query it ever ran.
-        let mut bufs = TrimmedScratch(pool::take_scratch::<ExecBuffers>());
-        let mut checkout = Some(bufs.0.reused());
-        let mut current = id;
+    /// One job: run `first` — and every operator it makes ready on this
+    /// job — with one checked-out scratch set, returning the job's
+    /// counters (the checkout, and whether it was a cache hit, included).
+    fn run_job<'s, 'e>(
+        &'s self,
+        scope: Option<&'s Scope<'s, 'e>>,
+        first: &[OpId],
+        scratch: &mut CheckedOut,
+    ) -> ExecStats {
+        let mut stats = ExecStats {
+            scratch_checkouts: 1,
+            scratch_hits: u64::from(scratch.reused),
+            ..ExecStats::default()
+        };
+        let JobScratch { bufs, ready } = scratch.get();
+        ready.clear();
+        ready.extend(first.iter().rev());
         let mut inherited: Option<(OpId, Labels<'a>)> = None;
-        while let Some(next) =
-            self.step(scope, current, &mut bufs.0, &mut inherited, checkout.take())
-        {
-            current = next;
+        while let Some(id) = ready.pop() {
+            self.step(scope, id, bufs, ready, &mut inherited, &mut stats);
         }
         debug_assert!(inherited.is_none(), "a handover must be consumed by the next step");
+        stats
     }
 
     /// Resolve operator `input` for the step running `inherited`'s
@@ -663,35 +698,35 @@ impl<'a> Sched<'a> {
     }
 
     /// Execute operator `id`, publish its result, and release its
-    /// consumers. Returns the next operator to run **inline** on this
-    /// job (chain collapsing: `id` released exactly one now-ready
-    /// consumer), or `None` after submitting any genuine fork's
-    /// dependents to the queue.
+    /// consumers: onto this job's `ready` stack when they run here, to
+    /// the pool queue when they are a fork on a pool with workers.
     fn step<'s, 'e>(
         &'s self,
-        scope: &'s Scope<'s, 'e>,
+        scope: Option<&'s Scope<'s, 'e>>,
         id: OpId,
         bufs: &mut ExecBuffers,
+        ready: &mut Vec<OpId>,
         inherited: &mut Option<(OpId, Labels<'a>)>,
-        checkout: Option<bool>,
-    ) -> Option<OpId> {
+        stats: &mut ExecStats,
+    ) {
         self.probe(ProbeEvent::Started(id));
-        let mut stats = ExecStats::default();
-        if let Some(hit) = checkout {
-            stats.scratch_checkouts = 1;
-            stats.scratch_hits = u64::from(hit);
-        }
+        let result = id == self.root || id == self.result_input;
         let labels: Labels<'a> = match self.plan.op(id) {
-            PhysOp::ClusteredScan { source, value_eq, level_eq } => self.scan_clustered(
-                scope,
-                source,
-                value_eq.as_deref(),
-                *level_eq,
-                &mut stats,
-                bufs,
-            ),
+            PhysOp::ClusteredScan { source, value_eq, level_eq } => {
+                let (value_eq, level_eq) = (value_eq.as_deref(), *level_eq);
+                let sharded = match scope {
+                    Some(scope) if self.config.shards >= 2 => {
+                        self.scan_sharded(scope, source, value_eq, level_eq, stats, bufs, result)
+                    }
+                    _ => None,
+                };
+                match sharded {
+                    Some(out) => out,
+                    None => materialize(source, value_eq, level_eq, self.store, stats, bufs, result),
+                }
+            }
             PhysOp::ValueFilter { input, value_eq, level_eq } => {
-                let mut out = bufs.take();
+                let mut out = bufs.output(result);
                 eval_value_filter(
                     self.input_from(inherited, *input),
                     value_eq.as_deref(),
@@ -703,19 +738,19 @@ impl<'a> Sched<'a> {
             }
             PhysOp::StructuralJoin { anc, desc, level_diff, keep, tally } => {
                 let spec = JoinSpec { level_diff: *level_diff, keep: *keep, tally: *tally };
-                let mut out = bufs.take();
+                let mut out = bufs.output(result);
                 eval_structural_join(
                     self.input_from(inherited, *anc),
                     self.input_from(inherited, *desc),
                     spec,
-                    &mut stats,
+                    stats,
                     &mut bufs.join,
                     &mut out,
                 );
                 Labels::Owned(out)
             }
             PhysOp::Union { inputs } => {
-                let mut out = bufs.take();
+                let mut out = bufs.output(result);
                 eval_union(
                     inputs.iter().map(|&i| self.input_from(inherited, i)),
                     &mut bufs.merge,
@@ -726,24 +761,20 @@ impl<'a> Sched<'a> {
             PhysOp::TwigStackMatch { streams, pattern } => {
                 let stream_slices: Vec<&[DLabel]> =
                     streams.iter().map(|&s| self.input_from(inherited, s)).collect();
-                Labels::Owned(twigstack::run_match(pattern, &stream_slices, &mut stats))
+                Labels::Owned(twigstack::run_match(pattern, &stream_slices, stats))
             }
-            PhysOp::Materialize { input } => {
-                match take_inherited(inherited, *input) {
-                    // The chain-link case: the producer handed its
-                    // output over in-memory, so materializing is a
-                    // move — the same optimization the sequential
-                    // path's last-consumer rule performs.
-                    Some(labels) => labels,
-                    None => {
-                        // Slots are shared read-only across jobs, so
-                        // a parked input must be copied.
-                        let mut out = bufs.take();
-                        out.extend_from_slice(self.input(*input));
-                        Labels::Owned(out)
-                    }
+            PhysOp::Materialize { input } => match take_inherited(inherited, *input) {
+                // The chain-link case: the producer handed its output
+                // over in memory, so materializing is a move.
+                Some(labels) => labels,
+                None => {
+                    // Slots are shared read-only across jobs, so a
+                    // parked input must be copied.
+                    let mut out = bufs.output(result);
+                    out.extend_from_slice(self.input(*input));
+                    Labels::Owned(out)
                 }
-            }
+            },
         };
         // A handed-over input this operator consumed by reference is
         // spent now: reclaim its buffer for this job's later links.
@@ -756,88 +787,65 @@ impl<'a> Sched<'a> {
         // guaranteed to become ready on this release — no other
         // producer races us for it — and (b) nobody else will ever
         // read this slot: the sole consumer takes the handover, and
-        // the root exclusion below keeps `execute_pooled`'s
-        // result-extraction read off this path (a root with a
-        // consumer never comes out of the lowerings, but
-        // `PhysPlan::from_ops` permits one). Publish an empty
-        // placeholder (keeping the stats) and hand the real output to
-        // the continuation in-memory; `Materialize` above then moves
-        // it instead of copying.
+        // the root exclusion keeps the result extraction in `run` off
+        // this path (a root with a consumer never comes out of the
+        // lowerings, but `PhysPlan::from_ops` permits one). Publish an
+        // empty placeholder and hand the real output to the
+        // continuation in memory; `Materialize` above then moves it
+        // instead of copying.
         if self.config.collapse_chains
-            && id != self.plan.root()
+            && id != self.root
             && self.consumers[id].len() == 1
         {
             let next = self.consumers[id][0];
-            if self.plan.input_counts()[next] == 1 {
-                self.states[id]
-                    .slot
-                    .set(OpOutput { labels: Labels::Borrowed(&[]), stats })
-                    .unwrap_or_else(|_| panic!("operator {id} scheduled twice"));
+            if self.input_counts[next] == 1 {
+                self.states[id].slot.publish(Labels::Borrowed(&[]));
                 self.probe(ProbeEvent::Finished(id));
-                let released = self.states[next].pending.fetch_sub(1, Ordering::AcqRel);
-                debug_assert_eq!(released, 1, "a chain link is its consumer's only input");
+                // The consumer's one credit is this edge, which nobody
+                // else reads: releasing it needs no atomic decrement.
+                debug_assert_eq!(self.states[next].pending.load(Ordering::Relaxed), 1);
                 self.probe(ProbeEvent::Inlined(next));
                 *inherited = Some((id, labels));
-                return Some(next);
+                ready.push(next);
+                return;
             }
         }
 
-        self.states[id]
-            .slot
-            .set(OpOutput { labels, stats })
-            .unwrap_or_else(|_| panic!("operator {id} scheduled twice"));
+        self.states[id].slot.publish(labels);
         // Publish before releasing dependents: every consumer observes
         // a fully written slot, and the probe log shows Finished(input)
         // strictly before Started(consumer).
         self.probe(ProbeEvent::Finished(id));
         // Release consumers, collecting those whose last input this
-        // was. Exactly one ready dependent ⇒ collapse the chain: run
-        // it inline on this job, no queue round-trip. Two or more (or
-        // collapsing disabled) ⇒ a genuine fork: each becomes its own
-        // pool job, restoring real parallelism exactly where the plan
-        // has it.
-        let mut first_ready: Option<OpId> = None;
-        let mut forked: Vec<OpId> = Vec::new();
+        // was. On a pool with workers, two or more ready dependents (or
+        // any, with collapsing disabled) are a genuine fork: each
+        // becomes its own pool job, restoring real parallelism exactly
+        // where the plan has it. Otherwise they run on this job, the
+        // first released first.
+        let base = ready.len();
         for &consumer in &self.consumers[id] {
             if self.states[consumer].pending.fetch_sub(1, Ordering::AcqRel) == 1 {
-                match first_ready {
-                    None => first_ready = Some(consumer),
-                    Some(_) => forked.push(consumer),
-                }
+                ready.push(consumer);
             }
         }
-        let first = first_ready?;
-        if forked.is_empty() && self.config.collapse_chains {
-            self.probe(ProbeEvent::Inlined(first));
-            return Some(first);
+        let released = ready.len() - base;
+        if self.queued && (released > 1 || !self.config.collapse_chains) {
+            let scope = scope.expect("a pool with workers runs the walk inside a scope");
+            for consumer in ready.drain(base..) {
+                self.submit(scope, consumer, false);
+            }
+        } else {
+            for &consumer in &ready[base..] {
+                self.probe(ProbeEvent::Inlined(consumer));
+            }
+            ready[base..].reverse();
         }
-        self.submit(scope, first);
-        for consumer in forked {
-            self.submit(scope, consumer);
-        }
-        None
     }
 
-    /// The clustered-scan operator inside a pool job: sequential
-    /// (zero-copy where possible) when too small to pay for fan-out,
-    /// otherwise sharded across pool sub-jobs.
-    fn scan_clustered<'s, 'e>(
-        &'s self,
-        scope: &'s Scope<'s, 'e>,
-        source: &BoundSource,
-        value_eq: Option<&str>,
-        level_eq: Option<u16>,
-        stats: &mut ExecStats,
-        bufs: &mut ExecBuffers,
-    ) -> Labels<'a> {
-        if let Some(out) = self.scan_sharded(scope, source, value_eq, level_eq, stats, bufs) {
-            return out;
-        }
-        materialize(source, value_eq, level_eq, self.store, stats, bufs)
-    }
-
-    /// Parallel scan path; `None` when the scan is too small to shard
-    /// (the caller falls back to the sequential kernel).
+    /// Parallel scan path, taken only with `shards ≥ 2` (which always
+    /// runs the walk inside a scope); `None` when the scan is too small
+    /// to shard (the caller falls back to the single-job kernel).
+    #[allow(clippy::too_many_arguments)]
     fn scan_sharded<'s, 'e>(
         &'s self,
         scope: &'s Scope<'s, 'e>,
@@ -846,11 +854,12 @@ impl<'a> Sched<'a> {
         level_eq: Option<u16>,
         stats: &mut ExecStats,
         bufs: &mut ExecBuffers,
+        result: bool,
     ) -> Option<Labels<'a>> {
         let config = self.config;
         let store = self.store;
         // Size the scan from the run directory first (two binary
-        // searches): point queries fall back to the sequential kernel
+        // searches): point queries fall back to the single-job kernel
         // without ever materializing shard groups — at µs scale that
         // preparation would be a measurable fraction of the query.
         let total = match source {
@@ -924,80 +933,11 @@ impl<'a> Sched<'a> {
         // (each already sorted). Shards of a single-run scan hold
         // consecutive pieces, so their spans do not overlap and the
         // kernel copies each whole.
-        let mut out = bufs.take();
+        let mut out = bufs.output(result);
         let shards: Vec<&[DLabel]> = shard_out.iter().map(|(shard, _)| shard.as_slice()).collect();
         merge_sorted(&shards, &mut bufs.merge, &mut out);
         Some(Labels::Owned(out))
     }
-}
-
-fn execute_pooled(
-    plan: &PhysPlan,
-    store: &NodeStore,
-    config: &ExecConfig,
-    stats: &mut ExecStats,
-) -> Vec<DLabel> {
-    let sched = Sched {
-        plan,
-        store,
-        config,
-        consumers: plan.consumers(),
-        states: plan
-            .input_counts()
-            .iter()
-            .map(|&c| OpState { pending: AtomicUsize::new(c), slot: OnceLock::new() })
-            .collect(),
-    };
-    pool::scope(&config.pool, |scope| {
-        // Roots (no inputs) are ready immediately. Identified from the
-        // plan's immutable metadata, NOT the live credit atomics: an
-        // already-submitted root may finish and drive a consumer's
-        // credits to zero while this loop still runs, and that
-        // consumer is the finisher's to schedule, not ours. The first
-        // root goes to the queue *unnotified* — this thread is about
-        // to hit the scope barrier and will execute it itself, so
-        // waking a worker for it would be pure overhead (measurable: a
-        // spurious futex wake per µs-scale query). Remaining roots are
-        // genuine parallelism and wake workers as usual.
-        let mut first = true;
-        for (id, &count) in plan.input_counts().iter().enumerate() {
-            if count == 0 {
-                if std::mem::take(&mut first) {
-                    sched.submit_deferred(scope, id);
-                } else {
-                    sched.submit(scope, id);
-                }
-            }
-        }
-    });
-    // Barrier passed: every job completed. Merge the per-operator
-    // accumulators exactly once, in arena order (addition commutes,
-    // but determinism keeps the logs comparable), and take the root's
-    // labels. Intermediate output buffers go back into *this* thread's
-    // scratch cache — the coordinator helps execute jobs, so the next
-    // query's operators check these buffers out again instead of
-    // growing fresh ones.
-    let root = plan.root();
-    let mut result = Vec::new();
-    let mut cache: Option<TrimmedScratch> = None;
-    for (id, state) in sched.states.into_iter().enumerate() {
-        let out = state.slot.into_inner().expect("every operator executed");
-        stats.absorb(&out.stats);
-        if id == root {
-            result = match out.labels {
-                Labels::Borrowed(s) => s.to_vec(),
-                Labels::Owned(v) => v,
-            };
-        } else if let Labels::Owned(v) = out.labels {
-            if v.capacity() > 0 {
-                cache
-                    .get_or_insert_with(|| TrimmedScratch(pool::take_scratch()))
-                    .0
-                    .recycle_vec(v);
-            }
-        }
-    }
-    result
 }
 
 /// Merge adjacent shard groups until at most `desired` remain (the
@@ -1218,6 +1158,69 @@ mod tests {
         assert!(out.windows(2).all(|w| w[0].start < w[1].start));
     }
 
+    #[test]
+    fn job_scratch_misses_then_hits_on_one_thread() {
+        // A dedicated thread guarantees an empty slot regardless of
+        // what other tests ran on this thread before.
+        std::thread::spawn(|| {
+            let (doc, store, dom) = fixture(SAMPLE);
+            let plan = lower_plan(&bound(&doc, &dom, "/db/e[p//s='cyt']/r/f/t"));
+            let mut hits = Vec::new();
+            for _ in 0..3 {
+                let mut stats = ExecStats::default();
+                execute(&plan, &store, &ExecConfig::default(), &mut stats);
+                assert_eq!(stats.scratch_checkouts, 1, "one job per inline execution");
+                hits.push(stats.scratch_hits);
+            }
+            assert_eq!(hits, [0, 1, 1], "a cold slot misses once, then recycles");
+        })
+        .join()
+        .unwrap();
+    }
+
+    #[test]
+    fn job_scratch_is_per_thread() {
+        std::thread::spawn(|| {
+            drop(CheckedOut::take()); // warm this thread
+            assert!(CheckedOut::take().reused);
+            std::thread::spawn(|| {
+                assert!(!CheckedOut::take().reused, "another thread's scratch must not be visible");
+            })
+            .join()
+            .unwrap();
+        })
+        .join()
+        .unwrap();
+    }
+
+    #[test]
+    fn nested_checkouts_keep_one_set_and_bound_its_buffers() {
+        std::thread::spawn(|| {
+            let mut outer = CheckedOut::take();
+            let inner = CheckedOut::take();
+            assert!(!outer.reused && !inner.reused, "a nested checkout starts fresh");
+            // Oversized and excess buffers are not retained.
+            let bufs = &mut outer.get().bufs;
+            bufs.recycle_vec(Vec::with_capacity(MAX_RETAINED_ELEMS + 1));
+            for _ in 0..20 {
+                bufs.recycle_vec(Vec::with_capacity(4));
+            }
+            drop(inner);
+            drop(outer);
+            let mut kept = CheckedOut::take();
+            assert!(kept.reused);
+            assert!(!CheckedOut::take().reused, "the slot keeps one set");
+            let bufs = &mut kept.get().bufs;
+            let mut spares = 0;
+            while bufs.take().capacity() > 0 {
+                spares += 1;
+            }
+            assert_eq!(spares, 8, "only a few small spares survive");
+        })
+        .join()
+        .unwrap();
+    }
+
     // --- DAG-scheduling observability ---------------------------------
 
     /// Index of the first matching event, panicking with context when
@@ -1242,8 +1245,9 @@ mod tests {
     /// 1. every operator records exactly one scheduling event —
     ///    `Submitted` (queued: a plan root or one side of a genuine
     ///    fork) or `Inlined` (chain-collapsed continuation);
-    /// 2. plan roots (no inputs) are always `Submitted` — there is no
-    ///    producer to inline them into;
+    /// 2. on a pool with workers (every caller's), plan roots (no
+    ///    inputs) are always `Submitted` — there is no producer to
+    ///    inline them into;
     /// 3. every operator starts exactly once, after its scheduling
     ///    event;
     /// 4. no operator starts before every one of its inputs finished.
@@ -1300,9 +1304,12 @@ mod tests {
             .ops()
             .iter()
             .enumerate()
-            .find_map(|(id, op)| match op {
-                PhysOp::Union { inputs } => Some((id, inputs.clone())),
-                _ => None,
+            .find_map(|(id, op)| {
+                if let PhysOp::Union { inputs } = op {
+                    Some((id, inputs.clone()))
+                } else {
+                    None
+                }
             })
             .expect("unfolding /a//c lowers to a union");
         assert!(arms.len() >= 2, "need at least two arms: {plan:?}");
@@ -1463,44 +1470,27 @@ mod tests {
         }
     }
 
-    /// Reference model of the scheduler for a **serial** executor (a
-    /// zero-worker pool: every job runs on the coordinating thread,
-    /// FIFO): predicts the exact probe event stream, including which
-    /// operators are queued and which are chain-collapsed.
+    /// Reference model of the walk on a **zero-worker** pool: nothing
+    /// is ever queued — roots and forks alike run on the calling
+    /// thread's one job, taken from a LIFO ready stack in release
+    /// order — so it predicts the exact probe event stream.
     fn simulate_serial_schedule(plan: &PhysPlan) -> Vec<ProbeEvent> {
-        use std::collections::VecDeque;
         let mut events = Vec::new();
         let mut credits: Vec<usize> = plan.input_counts().to_vec();
-        let mut queue: VecDeque<OpId> = VecDeque::new();
-        for (id, &c) in credits.iter().enumerate() {
-            if c == 0 {
-                events.push(ProbeEvent::Submitted(id));
-                queue.push_back(id);
-            }
-        }
-        while let Some(job) = queue.pop_front() {
-            let mut current = job;
-            loop {
-                events.push(ProbeEvent::Started(current));
-                events.push(ProbeEvent::Finished(current));
-                let mut ready = Vec::new();
-                for &consumer in &plan.consumers()[current] {
-                    credits[consumer] -= 1;
-                    if credits[consumer] == 0 {
-                        ready.push(consumer);
-                    }
-                }
-                if ready.len() == 1 {
-                    events.push(ProbeEvent::Inlined(ready[0]));
-                    current = ready[0];
-                } else {
-                    for consumer in ready {
-                        events.push(ProbeEvent::Submitted(consumer));
-                        queue.push_back(consumer);
-                    }
-                    break;
+        let mut ready: Vec<OpId> = plan.roots().iter().rev().copied().collect();
+        events.extend(plan.roots().iter().map(|&r| ProbeEvent::Inlined(r)));
+        while let Some(current) = ready.pop() {
+            events.push(ProbeEvent::Started(current));
+            events.push(ProbeEvent::Finished(current));
+            let mut released = Vec::new();
+            for &consumer in &plan.consumers()[current] {
+                credits[consumer] -= 1;
+                if credits[consumer] == 0 {
+                    events.push(ProbeEvent::Inlined(consumer));
+                    released.push(consumer);
                 }
             }
+            ready.extend(released.into_iter().rev());
         }
         events
     }
@@ -1509,8 +1499,9 @@ mod tests {
     fn serial_schedule_matches_the_reference_simulation() {
         // On a zero-worker pool the DAG walk is deterministic, so the
         // probe log must equal the reference model event for event —
-        // in particular, every sole just-released consumer is Inlined
-        // and every fork is Submitted, across all three lowerings.
+        // in particular, every root and fork is Inlined from the LIFO
+        // stack and nothing is Submitted, across all three lowerings,
+        // with and without the scope barrier (shards 1 vs 2).
         let (doc, store, dom) = fixture(SAMPLE);
         let b = bound(&doc, &dom, "/db/e[p//s='cyt']/r/f[y='2001']/t");
         let twig = TwigQuery::from_plan(&b).unwrap();
@@ -1519,17 +1510,22 @@ mod tests {
             ("twig", lower_twig(&twig)),
             ("twigstack", lower_twigstack(&twig)),
         ] {
-            let probe = ExecProbe::new();
             // Default min_shard_elems: scan fan-out would run nested
             // helper jobs and reorder the serial schedule.
-            let config = ExecConfig::on_pool(PoolHandle::inline(), 2).with_probe(probe.clone());
-            let mut stats = ExecStats::default();
-            execute(&plan, &store, &config, &mut stats);
-            assert_eq!(
-                probe.events(),
-                simulate_serial_schedule(&plan),
-                "{name}: serial schedule must match the reference model"
-            );
+            for base in [ExecConfig::sequential(), ExecConfig::on_pool(PoolHandle::inline(), 2)] {
+                let probe = ExecProbe::new();
+                let config = base.with_probe(probe.clone());
+                let mut stats = ExecStats::default();
+                execute(&plan, &store, &config, &mut stats);
+                assert_eq!(
+                    probe.events(),
+                    simulate_serial_schedule(&plan),
+                    "{name} @ {} shards: serial schedule must match the reference model",
+                    config.shards
+                );
+                assert_eq!(config.pool.jobs_submitted(), 0, "{name}: nothing is queued");
+                assert_eq!(stats.scratch_checkouts, 1, "{name}: one job per execution");
+            }
         }
     }
 }

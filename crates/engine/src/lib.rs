@@ -7,16 +7,16 @@
 //!   (`ClusteredScan{SP|SD}`, `ValueFilter`, `StructuralJoin`,
 //!   `Union`, `Materialize`, `TwigStackMatch`) in a flat arena DAG,
 //!   plus the three lowering strategies and the filter-pushdown pass.
-//! * [`exec`] — the one executor: runs any physical plan with pooled
-//!   buffers. Under a parallel [`ExecConfig`] the whole operator DAG
-//!   executes as dependency-counted jobs on the persistent worker
-//!   pool — join sides, union arms and twig branches concurrently,
-//!   with clustered scans additionally sharded into pool sub-jobs —
-//!   while `shards == 1` is the zero-copy sequential path. Linear
-//!   stretches **chain-collapse**: a sole just-released consumer runs
-//!   inline as a continuation of its producer's job, so only genuine
-//!   forks pay a queue round-trip and a µs-scale point query stays
-//!   within a constant factor of sequential even on one core.
+//! * [`exec`] — the one executor: a dependency-counted walk of any
+//!   physical plan's operator DAG. On a worker pool, roots and forks
+//!   run as jobs — join sides, union arms and twig branches
+//!   concurrently, with clustered scans additionally sharded into
+//!   pool sub-jobs when [`ExecConfig`] asks for `shards ≥ 2`; on the
+//!   zero-worker inline pool (the default) the same walk runs the
+//!   whole plan as one job on the calling thread. Linear stretches
+//!   **chain-collapse**: a sole just-released consumer runs inline as
+//!   a continuation of its producer's job, so only genuine forks pay
+//!   a queue round-trip.
 //! * [`opt`] — the cost-based optimizer behind `EngineChoice::Auto`:
 //!   O(log n) cardinalities from the SP/SD run directories, per-operator
 //!   ns/elem rates calibrated against the measured kernels, and the
@@ -24,11 +24,9 @@
 //!   them.
 //! * [`pool`] — the persistent work-stealing-lite worker pool those
 //!   jobs run on: fixed threads, one injector queue, scoped
-//!   submission, helping joins, panic propagation, and lock-free
-//!   per-worker scratch caches ([`pool::take_scratch`]) that recycle
-//!   operator scratch across jobs. One pool (typically owned by
-//!   `blas::BlasDb`) serves every scan, join, union and twig branch
-//!   across repeated queries.
+//!   submission, helping joins and panic propagation. One pool
+//!   (typically owned by `blas::BlasDb`) serves every scan, join,
+//!   union and twig branch across repeated queries.
 //! * [`rdbms`] — the relational engine (§5.2): lowers a [`BoundPlan`]
 //!   into the Fig. 11 operator shape (selections, semi-join D-joins,
 //!   unions).
@@ -45,15 +43,15 @@
 //!   exact-level) pair.
 //! * [`stream`] — zero-copy label streams over the columnar store's
 //!   clustered runs, the pooled scratch buffers ([`ExecBuffers`])
-//!   every operator of one execution shares, and the one k-way
+//!   every operator of one job shares, and the one k-way
 //!   ordering kernel ([`stream::merge_sorted`]) that range scans,
 //!   sharded scans and unions restore document order with.
 //!
 //! Every tuple pulled from storage increments
 //! [`ExecStats::elements_visited`]; this is the deterministic
 //! "Number of elements read" metric of Figs. 14–18. Sharded scans
-//! tally into per-shard accumulators merged once, so the counts are
-//! identical to sequential execution.
+//! tally into per-shard accumulators merged once, so the counts do not
+//! depend on the pool or the shard count.
 //!
 //! [`BoundPlan`]: blas_translate::BoundPlan
 //! [`ExecConfig::shards`]: exec::ExecConfig
@@ -75,11 +73,11 @@ pub use opt::{
     choose_shards, estimate_plan, lower_plan_costed, order_twig_joins, source_cardinality,
     CostModel, PlanEstimate,
 };
-pub use pool::{take_scratch, JobHandle, PoolHandle, Scope, Scratch, TaskHandle};
+pub use pool::{JobHandle, PoolHandle, Scope, TaskHandle};
 pub use physical::{
     lower_plan, lower_plan_raw, lower_twig, lower_twigstack, PhysOp, PhysPlan, TwigPattern,
 };
-pub use rdbms::{execute_plan, execute_plan_config, execute_plan_with};
+pub use rdbms::{execute_plan, execute_plan_config};
 pub use stats::ExecStats;
 pub use stream::{ExecBuffers, Labels};
 pub use twig::{TwigError, TwigQuery};

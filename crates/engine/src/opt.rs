@@ -123,7 +123,7 @@ pub struct CostModel {
     /// element) — the constant that makes guessing wrong cost 180×.
     pub twigstack_ns_per_elem: f64,
     /// Fixed per-operator overhead (buffer checkout, dispatch).
-    /// Fitted: ~100 ns on the sequential path.
+    /// Fitted: ~100 ns on a single-thread run.
     pub op_overhead_ns: f64,
     /// Fanning a scan out to one more pool shard: waking a worker,
     /// handing it a group of runs and copying its output back into

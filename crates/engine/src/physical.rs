@@ -187,14 +187,13 @@ impl TwigPattern {
     }
 }
 
-/// Dependency metadata of a plan, derived once per plan (both vectors
-/// in a single walk) and memoized: the pooled executor reads it on
-/// every execution.
+/// Dependency metadata of a plan, derived once per plan (in a single
+/// walk) and memoized: the executor reads it on every execution.
 #[derive(Debug, Clone)]
 struct PlanDeps {
     input_counts: Vec<usize>,
     consumers: Vec<Vec<OpId>>,
-    consumer_counts: Vec<usize>,
+    roots: Vec<OpId>,
 }
 
 /// A physical plan: operators in topological (execution) order plus
@@ -247,13 +246,13 @@ impl PhysPlan {
                     consumers[input].push(id);
                 });
             }
-            let consumer_counts = consumers.iter().map(Vec::len).collect();
-            PlanDeps { input_counts, consumers, consumer_counts }
+            let roots = (0..self.ops.len()).filter(|&id| input_counts[id] == 0).collect();
+            PlanDeps { input_counts, consumers, roots }
         })
     }
 
     /// Per-operator input-edge counts — the initial dependency counts
-    /// of the pooled DAG walk in [`crate::exec`]. An operator with
+    /// of the DAG walk in [`crate::exec`]. An operator with
     /// count 0 (a scan) is ready immediately; every other operator
     /// becomes ready when its count has been decremented once per
     /// input edge. Duplicate edges (an operator reading the same
@@ -265,7 +264,7 @@ impl PhysPlan {
 
     /// Per-operator consumer lists (one entry per input *edge*, so an
     /// operator consumed twice by the same join appears twice): the
-    /// adjacency the pooled executor walks to release dependents as
+    /// adjacency the executor walks to release dependents as
     /// results complete — and to decide chain collapsing (a finishing
     /// producer that releases exactly one now-ready consumer runs it
     /// inline instead of queueing it). Memoized per plan.
@@ -273,13 +272,11 @@ impl PhysPlan {
         &self.deps().consumers
     }
 
-    /// Per-operator consuming-edge counts (`consumers()[i].len()`,
-    /// memoized): the sequential executor's initial
-    /// remaining-consumer credits — a result slot recycles its buffer
-    /// the moment its last consumer has read it. Precomputed here so
-    /// repeated executions of one plan skip the dependency walk.
-    pub fn consumer_counts(&self) -> &[usize] {
-        &self.deps().consumer_counts
+    /// The operators with no inputs (the scans), in arena order: the
+    /// DAG walk's initially ready set. Memoized per plan, so repeated
+    /// executions skip the search.
+    pub fn roots(&self) -> &[OpId] {
+        &self.deps().roots
     }
 
     /// Assemble a plan from raw operators already in topological

@@ -22,10 +22,9 @@
 //!   wait against the pool — [`scope`] waiting for its jobs,
 //!   [`JobHandle::join`] waiting for one result — pops and runs queued
 //!   jobs while it waits. A pool with **zero** workers is therefore
-//!   still correct (everything runs on the waiting thread), which is
-//!   what makes `PoolHandle::inline()` the sequential degenerate case,
-//!   and a job that fans out sub-jobs and joins them can never
-//!   deadlock the pool however few threads exist.
+//!   still correct (everything runs on the waiting thread), and a job
+//!   that fans out sub-jobs and joins them can never deadlock the pool
+//!   however few threads exist.
 //! * **Scoped lifetimes.** [`scope`] erases job lifetimes to `'static`
 //!   internally but does not return until every job spawned in the
 //!   scope has completed (even when the scope body or a job panics),
@@ -41,15 +40,6 @@
 //!   pool keeps serving queries after a panicked job (tested by the
 //!   shared-pool stress suite).
 //!
-//! * **Per-worker scratch caches.** Every OS thread that executes
-//!   pool jobs — resident workers and helping submitters alike — owns
-//!   a private, lock-free cache of recycled scratch values
-//!   ([`take_scratch`]). A finishing job checks its scratch back in;
-//!   the next job on the same thread checks it out again, so per-job
-//!   scratch allocations amortize away once a worker has run more
-//!   than one job. The cache is thread-local: no atomics, no locks,
-//!   no cross-thread traffic on the checkout path.
-//!
 //! Sizing: one worker per available core minus one (the submitting
 //! thread helps) is the default used by `blas::BlasDb` —
 //! [`PoolHandle::with_default_parallelism`]. Oversubscribing is safe
@@ -58,11 +48,9 @@
 //! [`BlasDb`]: ../../blas/struct.BlasDb.html
 
 use std::any::Any;
-use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::fmt;
 use std::marker::PhantomData;
-use std::ops::{Deref, DerefMut};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -162,7 +150,8 @@ fn worker_loop(shared: Arc<Shared>) {
 ///   them (the helping rule), so execution degenerates to sequential
 ///   without any special-casing.
 /// * [`PoolHandle::inline()`](PoolHandle::inline) — the zero-worker
-///   pool, the `shards = 1` sequential fallback's companion.
+///   pool: the executor runs a plan on it as one job on the calling
+///   thread, queueing nothing.
 /// * [`PoolHandle::with_default_parallelism()`] —
 ///   `available_parallelism() − 1` workers (at least one): the
 ///   submitting thread participates via helping, so one worker per
@@ -232,8 +221,9 @@ impl PoolHandle {
     }
 
     /// The zero-worker pool: every job runs on the thread that waits
-    /// for it. This is the degenerate case sequential configurations
-    /// carry so that `ExecConfig` always has a pool to name.
+    /// for it. `ExecConfig::sequential` carries it, and the executor
+    /// never queues a plan's operators on it — no worker could steal
+    /// them — so a plan runs as one job on the calling thread.
     pub fn inline() -> Self {
         Self::new(0)
     }
@@ -625,99 +615,6 @@ pub fn scope<'env, R>(
     }
 }
 
-// ---------------------------------------------------------------------
-// Per-worker scratch caches
-// ---------------------------------------------------------------------
-
-thread_local! {
-    /// This thread's scratch cache: type-erased recycled values, one
-    /// entry per checked-in scratch set. Per-thread ≡ per-worker for
-    /// the resident pool threads (which live as long as the pool), and
-    /// generalizes for free to helping submitter threads. Type-erased
-    /// so the pool stays ignorant of what executors cache in it.
-    static SCRATCH_CACHE: RefCell<Vec<Box<dyn Any + Send>>> =
-        const { RefCell::new(Vec::new()) };
-}
-
-/// Spare scratch values one thread retains; beyond this, checked-in
-/// values are dropped instead of cached. Depth > 1 only occurs when a
-/// job helps the pool mid-job and the nested job checks out scratch of
-/// the same type, so a small cap loses nothing.
-const SCRATCH_CACHE_CAP: usize = 8;
-
-/// Check a scratch value of type `T` out of the **current thread's**
-/// cache, or default-construct one on a cache miss. The checkout is
-/// lock-free — one thread-local vector scan, no atomics — and the
-/// guard checks the value back into the same thread's cache on drop,
-/// so a worker that runs several jobs in sequence reuses one scratch
-/// set (with all its grown capacity) across all of them.
-///
-/// [`Scratch::reused`] reports whether the checkout was a cache hit;
-/// the executor surfaces that through the `scratch_hits` counter of
-/// `ExecStats` so tests can assert that recycling actually happens.
-pub fn take_scratch<T: Default + Send + 'static>() -> Scratch<T> {
-    let cached: Option<Box<T>> = SCRATCH_CACHE.with(|cache| {
-        let mut cache = cache.borrow_mut();
-        let idx = cache.iter().position(|slot| slot.is::<T>())?;
-        let boxed = cache.swap_remove(idx);
-        Some(boxed.downcast::<T>().expect("slot matched T"))
-    });
-    match cached {
-        Some(value) => Scratch { value: Some(value), reused: true },
-        None => Scratch { value: Some(Box::new(T::default())), reused: false },
-    }
-}
-
-/// A scratch value checked out of the current thread's cache by
-/// [`take_scratch`]; dereferences to `T` and checks the value back in
-/// on drop (on the dropping thread — check-out and check-in happen on
-/// the same thread in normal use, since a job's scratch never outlives
-/// the job).
-///
-/// The value stays in its box for its whole cache lifetime, so a hit →
-/// use → check-in cycle moves one pointer and allocates nothing.
-pub struct Scratch<T: Send + 'static> {
-    value: Option<Box<T>>,
-    reused: bool,
-}
-
-impl<T: Send + 'static> Scratch<T> {
-    /// Whether this checkout recycled a cached value (`true`) or had
-    /// to default-construct a fresh one (`false`).
-    pub fn reused(&self) -> bool {
-        self.reused
-    }
-}
-
-impl<T: Send + 'static> Deref for Scratch<T> {
-    type Target = T;
-    fn deref(&self) -> &T {
-        self.value.as_ref().expect("present until drop")
-    }
-}
-
-impl<T: Send + 'static> DerefMut for Scratch<T> {
-    fn deref_mut(&mut self) -> &mut T {
-        self.value.as_mut().expect("present until drop")
-    }
-}
-
-impl<T: Send + 'static> Drop for Scratch<T> {
-    fn drop(&mut self) {
-        let Some(value) = self.value.take() else { return };
-        // try_with: during thread teardown the TLS may already be
-        // destroyed; then the value is simply dropped. The existing
-        // box is re-shelved as-is (an unsizing coercion, no
-        // allocation).
-        let _ = SCRATCH_CACHE.try_with(|cache| {
-            let mut cache = cache.borrow_mut();
-            if cache.len() < SCRATCH_CACHE_CAP {
-                cache.push(value as Box<dyn Any + Send>);
-            }
-        });
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -945,63 +842,6 @@ mod tests {
             });
         });
         assert_eq!(counter.load(Ordering::Relaxed), 2);
-    }
-
-    #[test]
-    fn scratch_misses_then_hits_on_one_thread() {
-        // A dedicated thread guarantees a cold cache regardless of what
-        // other tests ran on this thread before.
-        std::thread::spawn(|| {
-            let first = take_scratch::<Vec<u64>>();
-            assert!(!first.reused(), "cold cache must miss");
-            drop(first);
-            let mut second = take_scratch::<Vec<u64>>();
-            assert!(second.reused(), "checked-in scratch must be recycled");
-            second.push(7);
-            drop(second);
-            let third = take_scratch::<Vec<u64>>();
-            assert_eq!(*third, [7], "recycled value carries its state");
-        })
-        .join()
-        .unwrap();
-    }
-
-    #[test]
-    fn scratch_caches_are_per_thread() {
-        std::thread::spawn(|| {
-            drop(take_scratch::<Vec<u8>>()); // warm this thread
-            assert!(take_scratch::<Vec<u8>>().reused());
-            std::thread::spawn(|| {
-                assert!(
-                    !take_scratch::<Vec<u8>>().reused(),
-                    "another thread's cache must not be visible"
-                );
-            })
-            .join()
-            .unwrap();
-        })
-        .join()
-        .unwrap();
-    }
-
-    #[test]
-    fn scratch_distinguishes_types_and_respects_the_cap() {
-        std::thread::spawn(|| {
-            drop(take_scratch::<Vec<u16>>());
-            // A different type misses even though the cache is warm.
-            assert!(!take_scratch::<Vec<u32>>().reused());
-            // Concurrent checkouts beyond the cap are dropped, not
-            // cached: hold CAP + 2 guards at once, release them all.
-            let guards: Vec<Scratch<Vec<u16>>> =
-                (0..SCRATCH_CACHE_CAP + 2).map(|_| take_scratch()).collect();
-            drop(guards);
-            let cached = SCRATCH_CACHE.with(|c| {
-                c.borrow().iter().filter(|s| s.is::<Vec<u16>>()).count()
-            });
-            assert!(cached <= SCRATCH_CACHE_CAP, "cap bounds retained spares");
-        })
-        .join()
-        .unwrap();
     }
 
     #[test]

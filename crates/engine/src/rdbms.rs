@@ -9,8 +9,8 @@
 //! [`PhysOp::StructuralJoin`] semi-join `⋈`s keeping the side the
 //! plan projects, duplicate-free [`PhysOp::Union`]s for unfolded
 //! alternatives (§4.1.3), and a final [`PhysOp::Materialize`] `π` —
-//! and the shared executor in [`crate::exec`] runs it, sequentially
-//! or with sharded parallel scans.
+//! and the shared executor in [`crate::exec`] runs it, on the calling
+//! thread or with forks and sharded scans on a worker pool.
 //!
 //! [`PhysOp::ClusteredScan`]: crate::physical::PhysOp::ClusteredScan
 //! [`PhysOp::StructuralJoin`]: crate::physical::PhysOp::StructuralJoin
@@ -20,7 +20,6 @@
 use crate::exec::{self, ExecConfig};
 use crate::physical::lower_plan;
 use crate::stats::ExecStats;
-use crate::stream::ExecBuffers;
 use blas_labeling::DLabel;
 use blas_storage::NodeStore;
 use blas_translate::BoundPlan;
@@ -28,19 +27,7 @@ use blas_translate::BoundPlan;
 /// Execute `plan` against `store`, returning the output bindings
 /// (start-sorted, duplicate-free) and filling `stats`.
 pub fn execute_plan(plan: &BoundPlan, store: &NodeStore, stats: &mut ExecStats) -> Vec<DLabel> {
-    let mut bufs = ExecBuffers::default();
-    execute_plan_with(plan, store, stats, &mut bufs)
-}
-
-/// Like [`execute_plan`], reusing caller-held scratch buffers across
-/// executions (batch drivers, benches).
-pub fn execute_plan_with(
-    plan: &BoundPlan,
-    store: &NodeStore,
-    stats: &mut ExecStats,
-    bufs: &mut ExecBuffers,
-) -> Vec<DLabel> {
-    exec::execute_with(&lower_plan(plan), store, &ExecConfig::default(), stats, bufs)
+    execute_plan_config(plan, store, &ExecConfig::default(), stats)
 }
 
 /// Like [`execute_plan`], with an explicit executor configuration
@@ -204,14 +191,15 @@ mod tests {
 
     #[test]
     fn buffer_reuse_across_executions_is_clean() {
+        // Every execution on this thread recycles the buffers of the
+        // one before it through the thread's scratch.
         let fx = fixture();
         let q = parse("/db/e[p//s='cyt']/r/f/t").unwrap();
         let bound = bind(&translate_split(&q).unwrap(), fx.doc.tags(), &fx.domain);
-        let mut bufs = ExecBuffers::default();
         let mut first: Option<Vec<DLabel>> = None;
         for _ in 0..3 {
             let mut stats = ExecStats::default();
-            let out = execute_plan_with(&bound, &fx.store, &mut stats, &mut bufs);
+            let out = execute_plan(&bound, &fx.store, &mut stats);
             match &first {
                 None => first = Some(out),
                 Some(expect) => assert_eq!(&out, expect),

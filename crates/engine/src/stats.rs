@@ -1,22 +1,20 @@
 //! Per-query execution statistics.
 //!
-//! Under pooled parallel execution the counters follow an
-//! **accumulator-per-job** discipline: no `&mut ExecStats` is ever
-//! shared with a pool worker. Every operator job — and every scan
-//! shard sub-job — tallies into its own private `ExecStats`; the scan
-//! job [`absorb`]s its shards once at its join point (asserting the
-//! absorbed `elements_visited` equals the scan's total tuple count),
-//! and the coordinating thread absorbs every operator accumulator
-//! exactly once after the scope barrier, so a tuple can never be
-//! counted twice no matter how the DAG was scheduled. The equivalence
-//! property suite checks pooled counts equal sequential counts
-//! plan-for-plan across {1, 2, 4, 7} pool threads.
+//! The counters follow an **accumulator-per-job** discipline: no
+//! `&mut ExecStats` is ever shared between jobs. Every job of the DAG
+//! walk — and every scan shard sub-job — tallies into its own private
+//! `ExecStats`; the scan job [`absorb`]s its shards once at its join
+//! point (asserting the absorbed `elements_visited` equals the scan's
+//! total tuple count), and every job's accumulator is absorbed exactly
+//! once into the query's totals when the job finishes, so a tuple can
+//! never be counted twice no matter how the DAG was scheduled. The
+//! equivalence property suite checks that the counts are the same
+//! plan-for-plan on pools of {0, 1, 2, 4, 7} workers.
 //!
 //! Two counters are deliberately **outside** that contract:
 //! [`ExecStats::scratch_checkouts`] / [`ExecStats::scratch_hits`]
-//! observe the per-worker scratch caches of pooled execution and
-//! depend on which thread ran which job — scheduling facts, not query
-//! semantics.
+//! observe the per-thread scratch and depend on which thread
+//! ran which job — scheduling facts, not query semantics.
 //!
 //! [`absorb`]: ExecStats::absorb
 
@@ -38,21 +36,22 @@ pub struct ExecStats {
     /// Wall-clock execution time (selections + joins, excluding
     /// index-build time, matching §5.2.3's measurement scope).
     pub elapsed: Duration,
-    /// Pooled-execution observability: operator **jobs** that checked a
-    /// scratch-buffer set ([`ExecBuffers`]) out of the per-worker cache
-    /// (`pool::take_scratch`). One per pool job, however many chained
-    /// operators the job ran inline. Always 0 under sequential
-    /// execution, which recycles through one caller-held set instead.
+    /// Scheduling observability: **jobs** that checked a
+    /// scratch-buffer set ([`ExecBuffers`]) out of the executing
+    /// thread's scratch slot. One per job, however many
+    /// operators the job ran inline — so exactly one for an execution
+    /// on the zero-worker inline pool, which runs the whole plan as one
+    /// job.
     ///
     /// Unlike every counter above, this and [`scratch_hits`] describe
     /// *scheduling*, not query semantics: they are excluded from the
-    /// pooled ≡ sequential equivalence contract.
+    /// equivalence contract across pool sizes.
     ///
     /// [`ExecBuffers`]: crate::stream::ExecBuffers
     /// [`scratch_hits`]: ExecStats::scratch_hits
     pub scratch_checkouts: u64,
     /// The subset of [`scratch_checkouts`] satisfied by a recycled set
-    /// — the worker had already finished an earlier operator job, so
+    /// — the thread had already finished an earlier job, so
     /// its join flags, merge scratch and spare buffers (capacity
     /// included) were reused instead of reallocated. The scratch-cache
     /// test suite asserts this becomes non-zero as soon as a pool

@@ -45,9 +45,9 @@ pub struct JoinScratch {
 
 impl JoinScratch {
     /// Release any internal buffer whose capacity exceeds
-    /// `max_elems`, so a long-lived holder (the per-worker scratch
-    /// caches) does not pin the high-water footprint of the largest
-    /// join it ever ran. Within-query reuse never calls this.
+    /// `max_elems`, so a long-lived holder (the per-thread scratch)
+    /// does not pin the high-water footprint of the largest join it
+    /// ever ran.
     pub fn trim(&mut self, max_elems: usize) {
         for flags in [&mut self.anc, &mut self.desc] {
             if flags.capacity() > max_elems {
@@ -131,6 +131,9 @@ pub fn structural_match(a: &[DLabel], d: &[DLabel], level_diff: Option<u16>) -> 
 /// Append the flagged elements to `out` (preserves order).
 pub fn filter_flagged_into(items: &[DLabel], flags: &[bool], out: &mut Vec<DLabel>) {
     debug_assert_eq!(items.len(), flags.len());
+    // Size the output exactly first: a result buffer starts empty, and
+    // growing it by doubling would copy it several times over.
+    out.reserve(flags.iter().filter(|&&keep| keep).count());
     out.extend(
         items
             .iter()

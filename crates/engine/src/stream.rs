@@ -8,12 +8,12 @@
 //! copying* when no filter or reordering applies, and fall back to a
 //! pooled owned buffer when one does (packed runs always land in a
 //! buffer — one chunked block decode, not a per-element loop).
-//! [`ExecBuffers`] owns every scratch allocation of one query
-//! execution — operator output buffers are recycled through a pool, the
-//! join kernel's flag vectors are reused across joins, and order
-//! restoration reuses one [`MergeScratch`] — so executing a plan
-//! allocates O(plan size) buffers total instead of O(operators ×
-//! tuples).
+//! [`ExecBuffers`] owns every scratch allocation of one executing job
+//! — operator output buffers are recycled through a pool, the join
+//! kernel's flag vectors are reused across joins, and order
+//! restoration reuses one [`MergeScratch`] — and stays with the
+//! executing thread between jobs, so a warm thread executes a plan
+//! without allocating intermediate buffers.
 //!
 //! # Restoring document order
 //!
@@ -58,22 +58,9 @@ impl Deref for Labels<'_> {
     }
 }
 
-impl Labels<'_> {
-    /// Materialize into an owned `Vec`, reusing a pooled buffer for the
-    /// borrowed case.
-    pub fn into_vec(self, bufs: &mut ExecBuffers) -> Vec<DLabel> {
-        match self {
-            Labels::Borrowed(s) => {
-                let mut v = bufs.take();
-                v.extend_from_slice(s);
-                v
-            }
-            Labels::Owned(v) => v,
-        }
-    }
-}
-
-/// Scratch state for one query execution.
+/// Scratch state of one executing job, checked out of the executing
+/// thread's scratch slot and threaded through every operator the job
+/// runs.
 #[derive(Debug, Default)]
 pub struct ExecBuffers {
     pool: Vec<Vec<DLabel>>,
@@ -96,6 +83,18 @@ impl ExecBuffers {
         }
     }
 
+    /// An operator's output buffer: a pooled one, or — for the operator
+    /// whose output becomes the caller's result — a fresh one, so the
+    /// caller never receives a recycled buffer and the high-water
+    /// capacity an earlier query gave it.
+    pub fn output(&mut self, result: bool) -> Vec<DLabel> {
+        if result {
+            Vec::new()
+        } else {
+            self.take()
+        }
+    }
+
     /// Return a stream's buffer to the pool, if it owned one.
     pub fn recycle(&mut self, labels: Labels<'_>) {
         if let Labels::Owned(v) = labels {
@@ -103,30 +102,33 @@ impl ExecBuffers {
         }
     }
 
-    /// Return a raw buffer to the pool.
+    /// Return a raw buffer to the pool — unless it is oversized or the
+    /// pool is full. A scratch set outlives its job (each thread keeps
+    /// one), so what it retains is bounded where buffers come back: a
+    /// thread does not pin the high-water capacity of the largest query
+    /// it ever ran.
     pub fn recycle_vec(&mut self, v: Vec<DLabel>) {
-        self.pool.push(v);
+        if v.capacity() <= MAX_RETAINED_ELEMS && self.pool.len() < MAX_SPARES {
+            self.pool.push(v);
+        }
     }
 
-    /// Bound what a **long-lived** holder — the per-worker scratch
-    /// caches of `pool::take_scratch` — may retain: keep at most a few
-    /// spare buffers and none of unbounded size, so a worker that once
-    /// executed a huge scan does not pin that high-water capacity
-    /// forever. Within a single execution (the sequential path's
-    /// caller-held set) nothing calls this, so intra-query recycling
-    /// keeps full capacity.
+    /// Drop everything beyond the retention bounds at once: for a job
+    /// that unwinds mid-operator, before its scratch is shelved.
     pub fn trim(&mut self) {
-        /// Spare output buffers a cache entry keeps across jobs.
-        const MAX_SPARES: usize = 8;
-        /// Per-buffer retention bound (64 Ki entries; ≤ 1 MiB for the
-        /// label buffers).
-        const MAX_ELEMS: usize = 1 << 16;
-        self.pool.retain(|v| v.capacity() <= MAX_ELEMS);
+        self.pool.retain(|v| v.capacity() <= MAX_RETAINED_ELEMS);
         self.pool.truncate(MAX_SPARES);
-        self.join.trim(MAX_ELEMS);
-        self.merge.trim(MAX_ELEMS);
+        self.join.trim(MAX_RETAINED_ELEMS);
+        self.merge.trim(MAX_RETAINED_ELEMS);
     }
 }
+
+/// Spare output buffers an [`ExecBuffers`] keeps.
+const MAX_SPARES: usize = 8;
+
+/// Largest scratch buffer, in elements, kept once its operator is done
+/// (64 Ki entries; ≤ 1 MiB for the label buffers).
+pub(crate) const MAX_RETAINED_ELEMS: usize = 1 << 16;
 
 /// The stream filter of a selection (`data = 'v'`, `level = k`) is the
 /// storage crate's [`ScanFilter`], whose chunked kernels run directly
@@ -150,7 +152,8 @@ pub(crate) fn resolve_filter(
 /// every scanned tuple in `stats` (the paper's "elements read" — the
 /// whole clustered run is read, filters apply after), return the
 /// stream start-sorted, borrowing the store's columns whenever no
-/// filter or merge forces a copy.
+/// filter or merge forces a copy. A copy lands in
+/// [`ExecBuffers::output`]`(result)`.
 pub fn materialize<'a>(
     source: &BoundSource,
     value_eq: Option<&str>,
@@ -158,14 +161,17 @@ pub fn materialize<'a>(
     store: &'a NodeStore,
     stats: &mut ExecStats,
     bufs: &mut ExecBuffers,
+    result: bool,
 ) -> Labels<'a> {
     let filter = resolve_filter(value_eq, level_eq, store);
     match source {
-        BoundSource::PLabelEq(p) => single_run(store.scan_plabel_eq(*p), filter, stats, bufs),
-        BoundSource::Tag(t) => single_run(store.scan_tag(*t), filter, stats, bufs),
-        BoundSource::All => single_run(store.scan_doc(), filter, stats, bufs),
+        BoundSource::PLabelEq(p) => {
+            single_run(store.scan_plabel_eq(*p), filter, stats, bufs, result)
+        }
+        BoundSource::Tag(t) => single_run(store.scan_tag(*t), filter, stats, bufs, result),
+        BoundSource::All => single_run(store.scan_doc(), filter, stats, bufs, result),
         BoundSource::PLabelRange(p1, p2) => {
-            multi_run(store.scan_plabel_range(*p1, *p2), filter, stats, bufs)
+            multi_run(store.scan_plabel_range(*p1, *p2), filter, stats, bufs, result)
         }
         BoundSource::Empty => Labels::Borrowed(&[]),
     }
@@ -179,6 +185,7 @@ fn single_run<'a>(
     filter: Filter,
     stats: &mut ExecStats,
     bufs: &mut ExecBuffers,
+    result: bool,
 ) -> Labels<'a> {
     stats.elements_visited += run.len() as u64;
     if filter.is_pass_through() {
@@ -186,7 +193,7 @@ fn single_run<'a>(
             return Labels::Borrowed(labels);
         }
     }
-    let mut out = bufs.take();
+    let mut out = bufs.output(result);
     run.filter_into(filter, &mut out);
     Labels::Owned(out)
 }
@@ -198,15 +205,16 @@ fn multi_run<'a>(
     filter: Filter,
     stats: &mut ExecStats,
     bufs: &mut ExecBuffers,
+    result: bool,
 ) -> Labels<'a> {
     let Some(head) = runs.next() else {
         return Labels::Borrowed(&[]);
     };
     let Some(second) = runs.next() else {
         // A range selecting a single P-label stays zero-copy.
-        return single_run(head, filter, stats, bufs);
+        return single_run(head, filter, stats, bufs, result);
     };
-    let mut out = bufs.take();
+    let mut out = bufs.output(result);
     let mut stage = bufs.take();
     let runs = [head, second].into_iter().chain(runs);
     merge_scan_runs(runs, filter, stats, &mut stage, &mut bufs.merge, &mut out);
@@ -257,9 +265,9 @@ pub struct MergeScratch {
 
 impl MergeScratch {
     /// Release any staging buffer whose capacity exceeds `max_elems`,
-    /// so a long-lived holder (the per-worker scratch caches) does not
-    /// pin the footprint of the largest merge it ever ran. The span and
-    /// segment lists hold one entry per input and stay small.
+    /// so a long-lived holder (the per-thread scratch) does not pin the
+    /// footprint of the largest merge it ever ran. The span and segment
+    /// lists hold one entry per input and stay small.
     pub fn trim(&mut self, max_elems: usize) {
         for buf in &mut self.stage {
             if buf.capacity() > max_elems {
@@ -301,6 +309,7 @@ pub fn merge_sorted(inputs: &[&[DLabel]], scratch: &mut MergeScratch, out: &mut 
             group => merge_group(inputs, group, stage, ends, out),
         }
     }
+    scratch.trim(MAX_RETAINED_ELEMS);
 }
 
 /// Split `sorted` — inputs ordered by first start, each with a start
@@ -450,6 +459,7 @@ mod tests {
             &store,
             &mut stats,
             &mut bufs,
+            false,
         );
         assert!(matches!(out, Labels::Borrowed(_)), "unfiltered tag scan must not copy");
         assert_eq!(out.len(), 3);
@@ -469,6 +479,7 @@ mod tests {
             &store,
             &mut stats,
             &mut bufs,
+            false,
         );
         assert!(matches!(out, Labels::Owned(_)));
         assert_eq!(out.len(), 1);
@@ -488,6 +499,7 @@ mod tests {
             &store,
             &mut stats,
             &mut bufs,
+            false,
         );
         assert!(out.is_empty());
         assert_eq!(stats.elements_visited, 3);
@@ -506,6 +518,7 @@ mod tests {
             &store,
             &mut stats,
             &mut bufs,
+            false,
         );
         assert_eq!(out.len(), store.len());
         assert!(out.windows(2).all(|w| w[0].start < w[1].start));
@@ -526,6 +539,7 @@ mod tests {
             &store,
             &mut stats,
             &mut bufs,
+            false,
         );
         assert!(matches!(out, Labels::Borrowed(_)));
         assert_eq!(out.len(), 1);

@@ -24,10 +24,9 @@
 //! [`lower_twig`] turns it into a DAG of shared [`PhysOp::ClusteredScan`]
 //! streams and [`PhysOp::StructuralJoin`] semi-joins — the two stack
 //! passes made explicit — which the one executor in [`crate::exec`]
-//! runs. Under a parallel [`ExecConfig`] the independent twig
-//! branches execute concurrently as dependency-counted jobs on the
-//! persistent worker pool, and large streams shard into pool
-//! sub-jobs.
+//! runs. On a worker pool the independent twig branches execute
+//! concurrently as dependency-counted jobs, and with `shards ≥ 2`
+//! large streams shard into pool sub-jobs.
 //!
 //! [`PhysOp::ClusteredScan`]: crate::physical::PhysOp::ClusteredScan
 //! [`PhysOp::StructuralJoin`]: crate::physical::PhysOp::StructuralJoin
@@ -35,7 +34,6 @@
 use crate::exec::{self, ExecConfig};
 use crate::physical::lower_twig;
 use crate::stats::ExecStats;
-use crate::stream::ExecBuffers;
 use blas_labeling::DLabel;
 use blas_storage::NodeStore;
 use blas_translate::{BoundPlan, BoundSelection, BoundSource, Side};
@@ -106,19 +104,7 @@ impl TwigQuery {
     /// executor — one clustered-scan stream per node, then the two
     /// stack passes as an explicit semi-join DAG.
     pub fn execute(&self, store: &NodeStore, stats: &mut ExecStats) -> Vec<DLabel> {
-        let mut bufs = ExecBuffers::default();
-        self.execute_with(store, stats, &mut bufs)
-    }
-
-    /// Like [`TwigQuery::execute`], reusing caller-held scratch buffers
-    /// across executions.
-    pub fn execute_with(
-        &self,
-        store: &NodeStore,
-        stats: &mut ExecStats,
-        bufs: &mut ExecBuffers,
-    ) -> Vec<DLabel> {
-        exec::execute_with(&lower_twig(self), store, &ExecConfig::default(), stats, bufs)
+        self.execute_config(store, &ExecConfig::default(), stats)
     }
 
     /// Like [`TwigQuery::execute`], with an explicit executor

@@ -19,9 +19,9 @@ const TAGS: &[&str] = &["a", "b", "c", "d"];
 
 /// Deterministic half of the scratch-cache property: when a pool
 /// executes more operator jobs than it has executing threads, the
-/// per-worker caches must actually recycle — observable through the
+/// per-thread scratch must actually recycle — observable through the
 /// `scratch_hits` counter — while results and semantic stats stay
-/// identical to sequential execution.
+/// identical to the inline execution.
 #[test]
 fn scratch_cache_reuses_buffers_when_ops_exceed_workers() {
     let doc = Document::parse(
@@ -69,13 +69,13 @@ fn scratch_cache_reuses_buffers_when_ops_exceed_workers() {
     );
 }
 
-/// Persistent pools shared by every proptest case: {1, 2, 4, 7}
+/// Persistent pools shared by every proptest case: {0, 1, 2, 4, 7}
 /// resident workers. Reusing them across hundreds of random
 /// plans/stores is itself part of the property — one pool instance
 /// must serve arbitrarily many executions.
 fn shared_pools() -> &'static [(usize, PoolHandle)] {
     static POOLS: std::sync::OnceLock<Vec<(usize, PoolHandle)>> = std::sync::OnceLock::new();
-    POOLS.get_or_init(|| [1, 2, 4, 7].iter().map(|&t| (t, PoolHandle::new(t))).collect())
+    POOLS.get_or_init(|| [0, 1, 2, 4, 7].iter().map(|&t| (t, PoolHandle::new(t))).collect())
 }
 
 /// Random document over a tiny tag alphabet, with occasional text.
@@ -181,15 +181,16 @@ proptest! {
         }
     }
 
-    /// Pooled parallel execution is an execution detail: for random
-    /// plans over random stores, running the dependency-counted DAG
-    /// walk on persistent pools of 1, 2, 4 or 7 worker threads (scan
-    /// fan-out forced on by `min_shard_elems: 1`) returns
-    /// byte-identical results and identical merged `ExecStats` totals
-    /// to sequential execution, on every lowering strategy (relational
-    /// tree, twig semi-join DAG, holistic TwigStack). The pools are
-    /// created once and shared across all cases, so this also
-    /// exercises pool reuse across many queries.
+    /// The pool is an execution detail: for random plans over random
+    /// stores, the default execution — the DAG walk as one job on the
+    /// zero-worker inline pool — returns the naive evaluator's nodes,
+    /// and running the same walk on persistent pools of 0, 1, 2, 4 or
+    /// 7 worker threads (scan fan-out forced on by `min_shard_elems:
+    /// 1`) returns byte-identical results and identical merged
+    /// `ExecStats` totals, on every lowering strategy (relational tree,
+    /// twig semi-join DAG, holistic TwigStack). The pools are created
+    /// once and shared across all cases, so this also exercises pool
+    /// reuse across many queries.
     #[test]
     fn pooled_execution_matches_sequential(src in xml_doc(), qsrc in xpath_query()) {
         let doc = Document::parse(&src).unwrap();
@@ -197,6 +198,16 @@ proptest! {
         let store = NodeStore::build(&doc, &labels);
         let schema = SchemaGraph::infer(&doc);
         let q = parse(&qsrc).unwrap();
+        let mut expected: Vec<u32> = naive::evaluate(&q, &doc)
+            .into_iter()
+            .map(|n| labels.dlabels[n.index()].start)
+            .collect();
+        expected.sort_unstable();
+        let inline = ExecConfig::default();
+        let jobs_anywhere = || {
+            inline.pool.jobs_submitted()
+                + shared_pools().iter().map(|(_, pool)| pool.jobs_submitted()).sum::<u64>()
+        };
 
         let mut plans = vec![
             ("dlabel", translate_dlabeling(&q).unwrap()),
@@ -213,13 +224,20 @@ proptest! {
                 phys.push(("twigstack", lower_twigstack(&twig)));
             }
             for (engine, pplan) in &phys {
+                let jobs_before = jobs_anywhere();
                 let mut seq_stats = ExecStats::default();
-                let seq = execute(pplan, &store, &ExecConfig::default(), &mut seq_stats);
-                prop_assert_eq!(seq_stats.scratch_checkouts, 0, "sequential never checks out");
+                let seq = execute(pplan, &store, &inline, &mut seq_stats);
+                prop_assert_eq!(
+                    seq_stats.scratch_checkouts, 1,
+                    "one scratch checkout per inline execution"
+                );
+                prop_assert_eq!(jobs_anywhere(), jobs_before, "an inline execution queues no job");
+                let got: Vec<u32> = seq.iter().map(|l| l.start).collect();
+                prop_assert_eq!(&got, &expected, "{}/{} inline on {} over {}", engine, name, qsrc, src);
                 for (threads, pool) in shared_pools() {
-                    // Shards ≥ 2 so the pooled DAG path (and scan
-                    // fan-out) is always active, whatever the worker
-                    // count — a 1-thread pool must still be correct.
+                    // Shards ≥ 2 so scan fan-out is always active,
+                    // whatever the worker count — a zero- or 1-thread
+                    // pool must still be correct.
                     // Chain collapsing is exercised in both settings:
                     // on (the default) for every pool size, off for
                     // the 2-thread pool as the one-job-per-operator
@@ -256,9 +274,9 @@ proptest! {
                             engine, name, threads, collapse, qsrc, src
                         );
                         // The scheduling-side counters are not part of
-                        // the equivalence contract, but every pooled
-                        // execution runs at least one job, and hits
-                        // can never exceed checkouts.
+                        // the equivalence contract, but every execution
+                        // runs at least one job, and hits can never
+                        // exceed checkouts.
                         prop_assert!(par_stats.scratch_checkouts >= 1);
                         prop_assert!(par_stats.scratch_hits <= par_stats.scratch_checkouts);
                     }

@@ -169,6 +169,42 @@ fn parallel_execution_smoke_on_auction() {
 }
 
 #[test]
+fn results_never_inherit_an_earlier_querys_buffer_capacity() {
+    // //listitem moves 41,057 nodes at Auction ×10 through this
+    // thread's scratch cache, whichever engine runs it; with a
+    // predicate, the twig engines also park a listitem-sized
+    // intermediate there. The buffer of every later result is
+    // allocated fresh, so QA1 — run next on the same thread — gets a
+    // right-sized one, never a recycled buffer with a big query's
+    // high-water capacity.
+    let db = BlasDb::load(&blas_datagen::auction(10, 1))
+        .expect("generator output is well-formed");
+    let qa1 = query_set(DatasetId::Auction)[0];
+    assert_eq!(qa1.id, "QA1");
+    let pushup = EngineChoice::rdbms().with_translator(Translator::PushUp);
+    for big in [
+        EngineChoice::auto(),
+        pushup,
+        pushup.with_translator(Translator::Unfold),
+        EngineChoice::twig(),
+        EngineChoice::twigstack(),
+    ] {
+        for small in [EngineChoice::auto(), pushup.with_translator(Translator::DLabeling)] {
+            assert_eq!(db.query("//listitem", big).unwrap().nodes.len(), 41_057, "{big:?}");
+            assert!(db.query("//listitem[text]", big).unwrap().nodes.len() > 4096, "{big:?}");
+            let qa1_nodes = db.query(qa1.xpath, small).unwrap().nodes;
+            assert!(
+                qa1_nodes.capacity() < 4096,
+                "QA1 under {small:?} after //listitem under {big:?}: {} results in a buffer \
+                 of capacity {}",
+                qa1_nodes.len(),
+                qa1_nodes.capacity()
+            );
+        }
+    }
+}
+
+#[test]
 fn storage_is_bounded_like_the_paper_claims() {
     // §7: "the space used to represent an XML document is comparable to
     // the size of the original document" — 4 numbers + data per node.

@@ -207,9 +207,12 @@ fn chain_heavy_pipelines_collapse_under_contention() {
 
 #[test]
 fn panic_inside_inlined_continuation_surfaces_and_pool_survives() {
-    // A continuation that panics unwinds the producer's pool job; the
-    // scope barrier must still re-raise it to the caller as an error,
-    // and the worker that ran it must survive to serve more queries.
+    // A continuation that panics unwinds the job that ran it. On a pool
+    // with workers the scope barrier must re-raise it to the caller and
+    // the worker that ran it must survive; on the zero-worker pool the
+    // walk runs on the calling thread with no barrier, so the panic
+    // unwinds straight to the caller — and the thread's scratch cache
+    // must still serve the next query correctly.
     use blas_engine::exec::{execute, ExecConfig, ExecProbe, ProbeEvent};
     use blas_engine::physical::{PhysOp, PhysPlan, TwigPattern};
     use blas_engine::ExecStats;
@@ -234,47 +237,43 @@ fn panic_inside_inlined_continuation_surfaces_and_pool_survives() {
         PhysOp::Materialize { input: 1 },
     ];
     let plan = PhysPlan::from_ops(ops, 2);
-
-    let pool = PoolHandle::new(2);
-    let probe = ExecProbe::new();
-    let config = ExecConfig::on_pool(pool.clone(), 2).with_probe(probe.clone());
-    let unwound = catch_unwind(AssertUnwindSafe(|| {
-        let mut stats = ExecStats::default();
-        execute(&plan, store, &config, &mut stats)
-    }));
-    assert!(unwound.is_err(), "the inlined panic must surface as an error to the caller");
-    let events = probe.events();
-    assert!(
-        events.contains(&ProbeEvent::Inlined(1)),
-        "the failing op must have been a chain-collapsed continuation: {events:?}"
-    );
-    assert!(
-        events.contains(&ProbeEvent::Started(1)) && !events.contains(&ProbeEvent::Finished(1)),
-        "the failing op started but never finished: {events:?}"
-    );
-
-    // No worker died with the panic: the same pool instance keeps
-    // executing healthy plans, byte-identical to sequential.
     let healthy = PhysPlan::from_ops(
         vec![
-            PhysOp::ClusteredScan { source: BoundSource::All, value_eq: None, level_eq: None },
-            PhysOp::ValueFilter { input: 0, value_eq: Some("y".into()), level_eq: None },
-            PhysOp::Materialize { input: 1 },
+            PhysOp::ClusteredScan { source: BoundSource::All, value_eq: Some("y".into()), level_eq: None },
+            PhysOp::Materialize { input: 0 },
         ],
-        2,
+        1,
     );
-    let mut seq_stats = ExecStats::default();
-    let seq = execute(&healthy, store, &ExecConfig::default(), &mut seq_stats);
-    assert_eq!(seq.len(), 1);
-    for _ in 0..3 {
-        let mut stats = ExecStats::default();
-        let again = execute(
-            &healthy,
-            store,
-            &ExecConfig::on_pool(pool.clone(), 2),
-            &mut stats,
+    let y = db.query("/a/b='y'", EngineChoice::rdbms()).unwrap().nodes;
+    assert_eq!(y.len(), 1);
+
+    for config in [ExecConfig::on_pool(PoolHandle::new(2), 2), ExecConfig::sequential()] {
+        let workers = config.pool.threads();
+        let probe = ExecProbe::new();
+        let config = config.with_probe(probe.clone());
+        let unwound = catch_unwind(AssertUnwindSafe(|| {
+            let mut stats = ExecStats::default();
+            execute(&plan, store, &config, &mut stats)
+        }));
+        assert!(unwound.is_err(), "{workers} workers: the inlined panic must surface to the caller");
+        let events = probe.events();
+        assert!(
+            events.contains(&ProbeEvent::Inlined(1)),
+            "{workers} workers: the failing op must have been a chain-collapsed continuation: {events:?}"
         );
-        assert_eq!(again, seq, "pool must survive a panicked continuation");
+        assert!(
+            events.contains(&ProbeEvent::Started(1)) && !events.contains(&ProbeEvent::Finished(1)),
+            "{workers} workers: the failing op started but never finished: {events:?}"
+        );
+
+        // Nothing died with the panic: the same pool instance — and,
+        // on the zero-worker pool, this thread — keeps executing
+        // healthy plans correctly.
+        for _ in 0..3 {
+            let mut stats = ExecStats::default();
+            let again = execute(&healthy, store, &config, &mut stats);
+            assert_eq!(again, y, "{workers} workers: the next query must answer correctly");
+        }
     }
 }
 
